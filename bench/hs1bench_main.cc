@@ -8,101 +8,19 @@
 //   hs1bench --scenario=fig8_scalability --smoke --jobs=2   (CI-sized)
 //   hs1bench --all --smoke
 
-#include <cstdio>
-#include <string>
-
-#include "runtime/scenario.h"
 #include "runtime/sweep_runner.h"
-#include "tools/flags.h"
-#include "tools/scenario_cli.h"
 
-namespace hotstuff1 {
 namespace {
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out, R"(hs1bench - registry-driven benchmark harness
+constexpr char kIntro[] = R"(hs1bench - registry-driven benchmark harness
 
-  --list                     enumerate registered scenarios with their axes
-  --scenario=<name>          run one scenario (repeatable via positional args)
-  --all                      run every registered scenario
-  --jobs=N                   worker threads across sweep points
-                             (default: hardware concurrency)
-  --sim-jobs=N               threads inside each experiment's event loop
-                             (default: per-scenario config; output is
-                             byte-identical at any value)
-  --lookahead=auto|off|<us>  conservative lookahead window for the parallel
-                             event loop (default: per-scenario config;
-                             byte-identical at any value)
-  --format=table|csv|json    output format (default table)
-  --oracle                   arm the online safety + liveness oracles on every
-                             point (pure observers; violations fail the run
-                             with a config+seed diagnostic)
-  --strategy=<schedule>      force a composable per-epoch adversary strategy
-                             onto every point's faulty coalition (grammar in
-                             runtime/adversary.h; respected only when the
-                             scenario does not sweep the strategy itself)
-  --reconfig=<schedule>      force an epoch-based committee reconfiguration
-                             schedule onto every point (grammar in
-                             consensus/committee.h; respected only when the
-                             scenario does not sweep the schedule itself)
-  --arrival=<kind>           force a traffic model onto every point
-                             (closed|poisson|bursty|diurnal|flash; respected
-                             only when the scenario does not sweep it)
-  --offered-load=<txn/s>     force the open-loop aggregate arrival rate
-  --client-groups=G          force the client-pool shard count (output is
-                             byte-identical at any value)
-  --cert-scheme=<scheme>     force the authenticator wire encoding onto every
-                             point (vector|aggregate|threshold; respected
-                             only when the scenario does not sweep it)
-  --smoke                    CI-sized points (short windows, axis endpoints)
-  --repeat=K                 rerun the scenario K times and report median
-                             wall-clock metrics (deterministic output is
-                             byte-identical across reruns by contract)
-  --bench-json=PATH          write the machine-readable perf ledger to PATH
-                             (throughput scenario; see tools/bench_compare.py)
-  --help                     this text
-
-Scenario durations honor the H1_DURATION_MS environment override.
-)");
-}
-
-int RunMain(int argc, char** argv) {
-  tools::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    PrintUsage(stdout);
-    return 0;
-  }
-  if (flags.Has("list")) return tools::ListScenarios();
-
-  ScenarioRunOptions options;
-  if (!tools::ParseScenarioRunOptions(flags, &options)) return 2;
-
-  std::vector<std::string> names = flags.positional();
-  if (flags.Has("scenario")) names.push_back(flags.GetString("scenario", ""));
-  if (flags.GetBool("all", false)) {
-    for (const ScenarioSpec* spec : ScenarioRegistry::Instance().All()) {
-      names.push_back(spec->name);
-    }
-  }
-  if (names.empty()) {
-    PrintUsage(stderr);
-    return 2;
-  }
-
-  int exit_code = 0;
-  for (const std::string& name : names) {
-    const ScenarioSpec* spec = ScenarioRegistry::Instance().Find(name);
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", name.c_str());
-      return 2;
-    }
-    const int code = RunScenario(*spec, options);
-    if (code != 0) exit_code = code;
-  }
-  return exit_code;
-}
+Runs the scenarios named by --scenario, positional arguments or --all.
+Scenario durations honor the H1_DURATION_MS environment override. Unknown
+flags and malformed or out-of-range values exit 2.
+)";
 
 }  // namespace
-}  // namespace hotstuff1
 
-int main(int argc, char** argv) { return hotstuff1::RunMain(argc, argv); }
+int main(int argc, char** argv) {
+  return hotstuff1::CliMain(argc, argv, kIntro, nullptr);
+}

@@ -36,9 +36,8 @@ ScenarioSpec Fig8Geo() {
       {"ycsb", [](ExperimentConfig& c) { c.workload = WorkloadKind::kYcsb; }},
       {"tpcc", [](ExperimentConfig& c) { c.workload = WorkloadKind::kTpcc; }}};
   for (uint32_t regions : {2u, 3u, 4u, 5u}) {
-    spec.rows.push_back({std::to_string(regions), [regions](ExperimentConfig& c) {
-                           c.topology = sim::Topology::Geo(c.n, regions);
-                         }});
+    spec.rows.push_back({std::to_string(regions),
+                         [regions](ExperimentConfig& c) { c.regions = regions; }});
   }
   spec.cols = PaperProtocolAxis();
   spec.metrics = {ThroughputMetric(), AvgLatencyMetric()};

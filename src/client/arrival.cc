@@ -6,16 +6,6 @@
 
 namespace hotstuff1 {
 
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out) {
-  if (s == "closed") *out = ArrivalKind::kClosedLoop;
-  else if (s == "poisson") *out = ArrivalKind::kPoisson;
-  else if (s == "bursty") *out = ArrivalKind::kBursty;
-  else if (s == "diurnal") *out = ArrivalKind::kDiurnal;
-  else if (s == "flash") *out = ArrivalKind::kFlashCrowd;
-  else return false;
-  return true;
-}
-
 const char* ArrivalKindName(ArrivalKind kind) {
   switch (kind) {
     case ArrivalKind::kClosedLoop: return "closed";

@@ -26,7 +26,6 @@
 #define HOTSTUFF1_CLIENT_ARRIVAL_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -41,8 +40,8 @@ enum class ArrivalKind : uint32_t {
   kFlashCrowd = 4,
 };
 
-/// Parses "closed" / "poisson" / "bursty" / "diurnal" / "flash".
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out);
+/// "closed" / "poisson" / "bursty" / "diurnal" / "flash" (the --arrival
+/// spellings).
 const char* ArrivalKindName(ArrivalKind kind);
 
 struct ArrivalConfig {

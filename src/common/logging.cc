@@ -1,13 +1,16 @@
 #include "common/logging.h"
 
+#include <atomic>
+
 namespace hotstuff1 {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+// Relaxed: the level orders no other memory, it only gates output.
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {

@@ -1,5 +1,7 @@
-// Minimal levelled logging. Disabled levels cost one branch. Not thread-safe
-// by design: the simulator is single-threaded.
+// Minimal levelled logging. Disabled levels cost one branch. Safe to call
+// from any thread: sweep workers and the parallel event loop's shards log
+// concurrently. The threshold is a relaxed atomic (a plain load on x86), and
+// each message reaches stderr in a single stream insertion.
 
 #ifndef HOTSTUFF1_COMMON_LOGGING_H_
 #define HOTSTUFF1_COMMON_LOGGING_H_

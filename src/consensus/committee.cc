@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace hotstuff1 {
 
@@ -47,18 +48,8 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// Strict non-negative integer: digits only (no sign, no whitespace, no
-// empty string), bounded to keep downstream arithmetic safe.
-bool ParseStrictUint(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 9) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
+// Epochs and member ids stay below 10^9 to keep downstream arithmetic safe.
+constexpr uint64_t kMaxNumber = 999'999'999;
 
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> parts;
@@ -84,7 +75,7 @@ bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,
       return Fail(error, "committee step without ':': '" + seg + "'");
     }
     uint64_t epoch = 0;
-    if (!ParseStrictUint(seg.substr(0, colon), &epoch)) {
+    if (!ParseUint(seg.substr(0, colon), kMaxNumber, &epoch)) {
       return Fail(error, "bad epoch in committee step: '" + seg + "'");
     }
     CommitteeStep step;
@@ -93,13 +84,13 @@ bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,
       const size_t dash = range.find('-');
       uint64_t lo = 0, hi = 0;
       if (dash == std::string::npos) {
-        if (!ParseStrictUint(range, &lo)) {
+        if (!ParseUint(range, kMaxNumber, &lo)) {
           return Fail(error, "bad member id: '" + range + "'");
         }
         hi = lo;
       } else {
-        if (!ParseStrictUint(range.substr(0, dash), &lo) ||
-            !ParseStrictUint(range.substr(dash + 1), &hi) || hi < lo) {
+        if (!ParseUint(range.substr(0, dash), kMaxNumber, &lo) ||
+            !ParseUint(range.substr(dash + 1), kMaxNumber, &hi) || hi < lo) {
           return Fail(error, "bad member range: '" + range + "'");
         }
       }

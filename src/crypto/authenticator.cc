@@ -11,20 +11,4 @@ const char* CertSchemeName(CertScheme scheme) {
   return "vector";
 }
 
-bool ParseCertScheme(const std::string& text, CertScheme* out) {
-  if (text == "vector" || text == "multisig") {
-    *out = CertScheme::kMultisigVector;
-    return true;
-  }
-  if (text == "aggregate" || text == "bls") {
-    *out = CertScheme::kAggregate;
-    return true;
-  }
-  if (text == "threshold") {
-    *out = CertScheme::kThreshold;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace hotstuff1

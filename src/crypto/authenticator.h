@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace hotstuff1 {
 
@@ -35,11 +34,8 @@ enum class CertScheme : uint8_t {
   kThreshold = 2,
 };
 
-/// "vector" | "aggregate" | "threshold".
+/// "vector" | "aggregate" | "threshold" (the --cert-scheme spellings).
 const char* CertSchemeName(CertScheme scheme);
-
-/// Parses the --cert-scheme spelling. Returns false on unknown text.
-bool ParseCertScheme(const std::string& text, CertScheme* out);
 
 /// Pure byte-size formulas for one (scheme, committee) pair. Default state
 /// (vector scheme) reproduces the pre-model wire sizes exactly, so messages

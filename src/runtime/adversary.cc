@@ -1,9 +1,10 @@
 #include "runtime/adversary.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace hotstuff1 {
 
@@ -60,20 +61,8 @@ bool Fail(std::string* error, std::string msg) {
   return false;
 }
 
-/// Strict non-negative integer parse of the whole string: plain digits only.
-/// strtoll would silently accept leading whitespace and sign characters
-/// ("+5", " 5", "\t5"), widening the grammar beyond what Format ever emits
-/// and breaking the Parse/Format round-trip contract.
-bool ParseNumber(const std::string& s, int64_t* out) {
-  if (s.empty() || s.size() > 18) return false;  // 18 digits always fit int64
-  int64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + (c - '0');
-  }
-  *out = v;
-  return true;
-}
+// Every number in the grammar ends up in a SimTime (int64) or narrower.
+constexpr uint64_t kMaxNumber = std::numeric_limits<SimTime>::max();
 
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> parts;
@@ -91,17 +80,17 @@ std::vector<std::string> Split(const std::string& s, char sep) {
 /// "0-3+8" -> {0,1,2,3,8}). Returns false on malformed or empty input.
 bool ParseIdList(const std::string& s, std::vector<uint32_t>* out) {
   for (const std::string& part : Split(s, '+')) {
-    int64_t lo = 0, hi = 0;
+    uint64_t lo = 0, hi = 0;
     const size_t dash = part.find('-');
     if (dash == std::string::npos) {
-      if (!ParseNumber(part, &lo)) return false;
+      if (!ParseUint(part, kMaxNumber, &lo)) return false;
       out->push_back(static_cast<uint32_t>(lo));
     } else {
-      if (!ParseNumber(part.substr(0, dash), &lo) ||
-          !ParseNumber(part.substr(dash + 1), &hi) || hi < lo) {
+      if (!ParseUint(part.substr(0, dash), kMaxNumber, &lo) ||
+          !ParseUint(part.substr(dash + 1), kMaxNumber, &hi) || hi < lo) {
         return false;
       }
-      for (int64_t i = lo; i <= hi; ++i) out->push_back(static_cast<uint32_t>(i));
+      for (uint64_t i = lo; i <= hi; ++i) out->push_back(static_cast<uint32_t>(i));
     }
   }
   return !out->empty();
@@ -131,23 +120,23 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
   }
   const std::string range = segment.substr(0, colon);
   StrategyEntry entry;
-  int64_t from = 0, to = 0;
+  uint64_t from = 0, to = 0;
   const size_t dash = range.find('-');
   if (dash == std::string::npos) {
-    if (!ParseNumber(range, &from)) {
+    if (!ParseUint(range, kMaxNumber, &from)) {
       return Fail(error, "bad epoch '" + range + "'");
     }
     entry.from_epoch = static_cast<uint32_t>(from);
     entry.to_epoch = entry.from_epoch + 1;  // single epoch
   } else {
-    if (!ParseNumber(range.substr(0, dash), &from)) {
+    if (!ParseUint(range.substr(0, dash), kMaxNumber, &from)) {
       return Fail(error, "bad epoch range '" + range + "'");
     }
     entry.from_epoch = static_cast<uint32_t>(from);
     const std::string to_str = range.substr(dash + 1);
     if (to_str.empty()) {
       entry.to_epoch = kEpochForever;
-    } else if (ParseNumber(to_str, &to) && to > from) {
+    } else if (ParseUint(to_str, kMaxNumber, &to) && to > from) {
       entry.to_epoch = static_cast<uint32_t>(to);
     } else {
       return Fail(error, "bad epoch range '" + range + "' (want to > from)");
@@ -161,12 +150,12 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
     } else if (action == "target-leader") {
       entry.actions |= kActTargetLeader;
     } else if (action.rfind("delay=", 0) == 0) {
-      int64_t us = 0;
-      if (!ParseNumber(action.substr(6), &us) || us <= 0) {
+      uint64_t us = 0;
+      if (!ParseUint(action.substr(6), kMaxNumber, &us) || us == 0) {
         return Fail(error, "bad '" + action + "' (want delay=<positive us>)");
       }
       entry.actions |= kActDelay;
-      entry.delay = us;
+      entry.delay = static_cast<SimTime>(us);
     } else if (action.rfind("partition=", 0) == 0) {
       std::vector<std::vector<uint32_t>> groups;
       std::vector<bool> seen;
@@ -201,8 +190,8 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
       entry.actions |= kActOutage;
       entry.outage_regions = std::move(regions);
     } else if (action.rfind("jitter=", 0) == 0) {
-      int64_t pct = 0;
-      if (!ParseNumber(action.substr(7), &pct) || pct <= 0 || pct > 1000) {
+      uint64_t pct = 0;
+      if (!ParseUint(action.substr(7), kMaxNumber, &pct) || pct == 0 || pct > 1000) {
         return Fail(error, "bad '" + action + "' (want jitter=<pct in 1..1000>)");
       }
       entry.actions |= kActJitter;
@@ -232,17 +221,17 @@ bool ParseStrategySchedule(const std::string& text, StrategySchedule* out,
   }
   for (const std::string& segment : Split(text, ';')) {
     if (segment.empty()) continue;
-    int64_t v = 0;
+    uint64_t v = 0;
     if (segment.rfind("epoch=", 0) == 0) {
-      if (!ParseNumber(segment.substr(6), &v) || v <= 0) {
+      if (!ParseUint(segment.substr(6), kMaxNumber, &v) || v == 0) {
         return Fail(error, "bad '" + segment + "' (want epoch=<positive us>)");
       }
-      schedule.epoch_length = v;
+      schedule.epoch_length = static_cast<SimTime>(v);
     } else if (segment.rfind("gst=", 0) == 0) {
-      if (!ParseNumber(segment.substr(4), &v)) {
+      if (!ParseUint(segment.substr(4), kMaxNumber, &v)) {
         return Fail(error, "bad '" + segment + "' (want gst=<us>)");
       }
-      schedule.declared_gst = v;
+      schedule.declared_gst = static_cast<SimTime>(v);
     } else {
       StrategyEntry entry;
       if (!ParseEntry(segment, &entry, error)) return false;

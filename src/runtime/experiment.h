@@ -66,7 +66,11 @@ struct ExperimentConfig {
   ProtocolKind protocol = ProtocolKind::kHotStuff1;
   uint32_t n = 32;
   uint32_t batch_size = 100;
-  sim::Topology topology;     // defaults to LAN(n) when empty
+  sim::Topology topology;     // defaults to Geo(n, regions) / LAN(n) when empty
+  // Paper geo deployment over the first `regions` of its five regions
+  // (--regions); 1 = LAN. Only read when `topology` is empty. A field, not
+  // an hs1sim-only option, so DescribeConfig's repro of a geo run carries it.
+  uint32_t regions = 1;
   uint32_t client_region = 0; // clients' region (paper: North Virginia)
 
   SimTime duration = Seconds(3);
@@ -264,10 +268,6 @@ class Experiment {
   AdversaryPlan plan_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
 };
-
-/// One-line human summary of a configuration ("protocol=... n=... fault=...").
-/// Embedded in invariant-oracle diagnostics so a violation names its repro.
-std::string DescribeConfig(const ExperimentConfig& config);
 
 /// Convenience: run one configuration and return the result.
 ExperimentResult RunExperiment(const ExperimentConfig& config);

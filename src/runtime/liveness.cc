@@ -60,7 +60,7 @@ void LivenessOracle::Report(const char* invariant, SimTime t,
   diag += "' violated at t=" + std::to_string(t);
   diag += "us event#" + std::to_string(events_);
   diag += ": " + detail;
-  diag += " [" + setup_.config_summary + " seed=" + std::to_string(setup_.seed) + "]";
+  diag += " [" + setup_.config_summary + "]";
   HS1_LOG_ERROR() << diag;
   violations_.push_back(std::move(diag));
 }

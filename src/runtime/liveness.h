@@ -59,8 +59,7 @@ class LivenessOracle {
     SimTime grace = 0;
     /// View timer tau; scales the auto grace threshold.
     SimTime view_timer = 0;
-    uint64_t seed = 0;
-    std::string config_summary;  // one-line repro, shared with the safety oracle
+    std::string config_summary;  // repro, shared with the safety oracle
   };
 
   LivenessOracle(sim::Simulator* sim, Setup setup);

@@ -78,8 +78,7 @@ class InvariantOracle {
     /// ever speaks for. End-of-run CheckSafety cannot see this (it skips
     /// crashed/out replicas); only this cross-epoch lattice can.
     std::shared_ptr<const CommitteeSchedule> committee;
-    uint64_t seed = 0;
-    std::string config_summary;  // one-line repro, e.g. "protocol=... n=..."
+    std::string config_summary;  // DescribeConfig repro, seed included
   };
 
   InvariantOracle(sim::Simulator* sim, Setup setup);

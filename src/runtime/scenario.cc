@@ -77,7 +77,8 @@ Axis SubsampleEndpoints(const Axis& axis) {
 
 }  // namespace
 
-std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke) {
+std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke,
+                                       const std::vector<KnobSetting>& overrides) {
   HS1_CHECK(!spec.custom_run) << "custom scenarios do not expand to sweep points";
   const Axis no_axis{{"", nullptr}};
   Axis tables = spec.tables.empty() ? no_axis : spec.tables;
@@ -113,15 +114,34 @@ std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke) {
           if (table.apply) table.apply(p.config);
           if (row.apply) row.apply(p.config);
           if (col.apply) col.apply(p.config);
-          // Reflect any mutator override back into the point, so the CSV
-          // seed column always names the seed the point actually ran —
-          // "a failing seed IS the repro" must survive seed-deriving axes.
-          p.seed = p.config.seed;
-          if (smoke) (spec.smoke ? spec.smoke : DefaultSmoke)(p.config);
           points.push_back(std::move(p));
         }
       }
     }
+  }
+
+  // The axis check reads the points as the axes left them: a smoke mutator
+  // that rewrites a knob on every point does not make that knob swept.
+  std::vector<std::pair<const Knob*, std::string>> forced;
+  for (const KnobSetting& o : overrides) {
+    const Knob* knob = FindKnob(o.flag);
+    HS1_CHECK(knob != nullptr && knob->set) << "--" << o.flag << " is not a config knob";
+    const std::string at_base = knob->get(spec.base);
+    const bool swept = std::any_of(points.begin(), points.end(), [&](const SweepPoint& p) {
+      return knob->get(p.config) != at_base;
+    });
+    if (!swept) forced.emplace_back(knob, o.value);
+  }
+  for (SweepPoint& p : points) {
+    if (smoke) (spec.smoke ? spec.smoke : DefaultSmoke)(p.config);
+    for (const auto& [knob, value] : forced) {
+      HS1_CHECK(knob->set(value, p.config, nullptr))
+          << "bad override --" << knob->name << "=" << value;
+    }
+    // Reflect any mutator or override back into the point, so the CSV seed
+    // column always names the seed the point actually ran — "a failing seed
+    // IS the repro" must survive seed-deriving axes.
+    p.seed = p.config.seed;
   }
   return points;
 }

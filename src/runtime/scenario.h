@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/config_schema.h"
 #include "runtime/experiment.h"
 
 namespace hotstuff1 {
@@ -67,8 +68,7 @@ enum class RunMode {
   kSingle,      // RunExperiment: one run per point
 };
 
-struct ScenarioRunOptions;  // sweep_runner.h
-struct SweepPoint;          // defined below ScenarioSpec
+struct SweepPoint;  // defined below ScenarioSpec
 
 /// \brief Declarative description of one benchmark scenario.
 ///
@@ -130,7 +130,14 @@ struct SweepPoint {
 /// Expands a spec into its deterministic point list. With `smoke`, the spec's
 /// smoke mutator (or the default CI shrink) is applied to every point and the
 /// row/table axes are subsampled to their endpoints.
-std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke = false);
+///
+/// Respect the axis: each of `overrides` is forced onto every point unless
+/// some point's formatted value, after the axis mutators and before the
+/// smoke mutator, differs from the spec base's. Then the scenario sweeps
+/// that knob, and forcing it would relabel rows. Forced values go on after
+/// the smoke mutator, so a flag given on the command line beats the shrink.
+std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke = false,
+                                       const std::vector<KnobSetting>& overrides = {});
 
 /// \brief Global name -> spec catalog; definitions self-register at load.
 ///

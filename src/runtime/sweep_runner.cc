@@ -10,17 +10,10 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "runtime/config_schema.h"
 #include "runtime/report.h"
 
 namespace hotstuff1 {
-
-bool ParseReportFormat(const std::string& s, ReportFormat* out) {
-  if (s == "table") *out = ReportFormat::kTable;
-  else if (s == "csv") *out = ReportFormat::kCsv;
-  else if (s == "json") *out = ReportFormat::kJson;
-  else return false;
-  return true;
-}
 
 bool SweepOutcome::AllSafe() const {
   for (const ExperimentResult& r : results) {
@@ -72,104 +65,10 @@ std::string SweepOutcome::FirstLivenessDiagnostic() const {
 SweepOutcome SweepRunner::Run(const ScenarioSpec& spec, bool smoke) const {
   SweepOutcome outcome;
   outcome.spec = &spec;
-  outcome.points = ExpandScenario(spec, smoke);
-  if (sim_jobs_ > 0) {
-    // Respect scenarios that sweep sim_jobs themselves (par_speedup): if any
-    // axis mutator changed it from the base, the global override would
-    // silently relabel the rows, so it is ignored for that scenario.
-    const bool axis_sweeps_sim_jobs =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.sim_jobs != spec.base.sim_jobs;
-                    });
-    if (!axis_sweeps_sim_jobs) {
-      for (SweepPoint& p : outcome.points) {
-        p.config.sim_jobs = static_cast<uint32_t>(sim_jobs_);
-      }
-    }
-  }
-  if (has_lookahead_) {
-    // Same respect-the-axis rule for --lookahead (par_speedup sweeps it).
-    const bool axis_sweeps_lookahead =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.lookahead != spec.base.lookahead;
-                    });
-    if (!axis_sweeps_lookahead) {
-      for (SweepPoint& p : outcome.points) p.config.lookahead = lookahead_;
-    }
-  }
-  if (has_arrival_) {
-    // fig_saturation sweeps the arrival process as its table axis.
-    const bool axis_sweeps_arrival =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.arrival.kind != spec.base.arrival.kind;
-                    });
-    if (!axis_sweeps_arrival) {
-      for (SweepPoint& p : outcome.points) p.config.arrival.kind = arrival_;
-    }
-  }
-  if (has_offered_load_) {
-    // fig_saturation sweeps the offered load as its row axis.
-    const bool axis_sweeps_load = std::any_of(
-        outcome.points.begin(), outcome.points.end(), [&](const SweepPoint& p) {
-          return p.config.arrival.offered_load_tps !=
-                 spec.base.arrival.offered_load_tps;
-        });
-    if (!axis_sweeps_load) {
-      for (SweepPoint& p : outcome.points) {
-        p.config.arrival.offered_load_tps = offered_load_;
-      }
-    }
-  }
-  if (has_cert_scheme_) {
-    // fig_cert_size sweeps the authenticator scheme as its column axis.
-    const bool axis_sweeps_scheme =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.cert_scheme != spec.base.cert_scheme;
-                    });
-    if (!axis_sweeps_scheme) {
-      for (SweepPoint& p : outcome.points) p.config.cert_scheme = cert_scheme_;
-    }
-  }
-  if (client_groups_ > 0) {
-    const bool axis_sweeps_groups =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.client_groups != spec.base.client_groups;
-                    });
-    if (!axis_sweeps_groups) {
-      for (SweepPoint& p : outcome.points) p.config.client_groups = client_groups_;
-    }
-  }
-  if (has_strategy_) {
-    // fig_liveness sweeps the strategy (its rows vary the coalition, its
-    // base carries the schedule); the global override must not relabel it.
-    const bool axis_sweeps_strategy =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.strategy != spec.base.strategy;
-                    });
-    if (!axis_sweeps_strategy) {
-      for (SweepPoint& p : outcome.points) p.config.strategy = strategy_;
-    }
-  }
-  if (has_reconfig_) {
-    // fig_reconfig sweeps the committee schedule as its row axis; the global
-    // override must not relabel it.
-    const bool axis_sweeps_reconfig =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.reconfig != spec.base.reconfig;
-                    });
-    if (!axis_sweeps_reconfig) {
-      for (SweepPoint& p : outcome.points) p.config.reconfig = reconfig_;
-    }
-  }
-  if (force_oracle_) {
-    for (SweepPoint& p : outcome.points) p.config.oracle_enabled = true;
+  outcome.points = ExpandScenario(spec, smoke, overrides_);
+  for (const SweepPoint& p : outcome.points) {
+    outcome.error = CheckConfig(p.config);
+    if (!outcome.error.empty()) return outcome;
   }
   outcome.results.resize(outcome.points.size());
 
@@ -260,6 +159,40 @@ std::vector<DiagColumn> DiagColumns(const std::vector<MetricSpec>& metrics) {
     if (!shadowed) kept.push_back(std::move(d));
   }
   return kept;
+}
+
+/// One axis rendered as `name{label1,label2,...}` (long axes elided), so
+/// --list shows exactly what a scenario sweeps and CI logs record what a gate
+/// actually covered.
+std::string FormatAxis(const std::string& name, const Axis& axis) {
+  std::string out = name + "{";
+  constexpr size_t kMaxLabels = 6;
+  for (size_t i = 0; i < axis.size() && i < kMaxLabels; ++i) {
+    if (i > 0) out += ",";
+    out += axis[i].label.empty() ? "-" : axis[i].label;
+  }
+  if (axis.size() > kMaxLabels) out += ",...+" + std::to_string(axis.size() - kMaxLabels);
+  return out + "}";
+}
+
+std::string DescribeAxes(const ScenarioSpec& spec) {
+  if (spec.custom_run) return "custom (not a config sweep)";
+  std::string out;
+  if (!spec.tables.empty()) {
+    out += FormatAxis(spec.table_name.empty() ? "table" : spec.table_name, spec.tables);
+  }
+  if (!spec.rows.empty()) out += (out.empty() ? "" : " x ") + FormatAxis(spec.row_name, spec.rows);
+  if (!spec.cols.empty()) out += (out.empty() ? "" : " x ") + FormatAxis("", spec.cols);
+  if (out.empty()) out = "single point";
+  return out + ", seeds=" + std::to_string(spec.seeds.empty() ? 1 : spec.seeds.size());
+}
+
+int ListScenarios() {
+  for (const ScenarioSpec* spec : ScenarioRegistry::Instance().All()) {
+    std::printf("%-18s %s\n", spec->name.c_str(), spec->description.c_str());
+    std::printf("%-18s   axes: %s\n", "", DescribeAxes(*spec).c_str());
+  }
+  return 0;
 }
 
 }  // namespace
@@ -410,35 +343,11 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
   std::ostream& os = options.out ? *options.out : std::cout;
   if (spec.custom_run) return spec.custom_run(options);
 
-  SweepRunner runner(options.jobs, options.sim_jobs);
-  if (options.has_lookahead) runner.OverrideLookahead(options.lookahead);
-  if (options.oracle) runner.ForceOracle();
-  if (options.has_strategy) runner.ForceStrategy(options.strategy);
-  if (options.has_reconfig) runner.ForceReconfig(options.reconfig);
-  if (options.has_arrival) runner.ForceArrival(options.arrival);
-  if (options.has_offered_load) runner.ForceOfferedLoad(options.offered_load);
-  if (options.client_groups > 0) runner.ForceClientGroups(options.client_groups);
-  if (options.has_cert_scheme) runner.ForceCertScheme(options.cert_scheme);
-  SweepOutcome outcome = runner.Run(spec, options.smoke);
-  if (options.repeat > 1) {
-    // Rerun and keep the per-point *median* wall-clock time. Every
-    // deterministic field is byte-identical across reruns by contract, so
-    // only wall_ms (table-only) changes — but it changes from a noisy single
-    // sample to a gateable median.
-    std::vector<std::vector<double>> walls(outcome.results.size());
-    for (size_t i = 0; i < outcome.results.size(); ++i) {
-      walls[i].push_back(outcome.results[i].wall_ms);
-    }
-    for (int rep = 1; rep < options.repeat; ++rep) {
-      const SweepOutcome again = runner.Run(spec, options.smoke);
-      for (size_t i = 0; i < again.results.size(); ++i) {
-        walls[i].push_back(again.results[i].wall_ms);
-      }
-    }
-    for (size_t i = 0; i < outcome.results.size(); ++i) {
-      std::sort(walls[i].begin(), walls[i].end());
-      outcome.results[i].wall_ms = walls[i][walls[i].size() / 2];
-    }
+  const SweepOutcome outcome =
+      SweepRunner(options.jobs, options.overrides).Run(spec, options.smoke);
+  if (!outcome.error.empty()) {
+    std::cerr << "scenario '" << spec.name << "': " << outcome.error << "\n";
+    return 2;
   }
   switch (options.format) {
     case ReportFormat::kTable: EmitTables(outcome, os); break;
@@ -486,6 +395,53 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
     code = 1;
   }
   return code;
+}
+
+int CliMain(int argc, char** argv, const char* intro,
+            const std::function<int(const CommandLine&)>& run_point) {
+  CommandLine cl;
+  std::string error;
+  if (!ParseCommandLine(argc, argv, &cl, &error)) {
+    std::fprintf(stderr, "%s (see --help)\n", error.c_str());
+    return 2;
+  }
+  if (cl.help) {
+    // Explicit --help is a success; exit code 2 stays reserved for flag errors.
+    std::fputs(HelpText(intro).c_str(), stdout);
+    return 0;
+  }
+  if (cl.list) return ListScenarios();
+
+  const ScenarioRegistry& registry = ScenarioRegistry::Instance();
+  std::vector<std::string> names = cl.positional;
+  if (!cl.scenario.empty()) names.push_back(cl.scenario);
+  if (cl.all) {
+    for (const ScenarioSpec* spec : registry.All()) names.push_back(spec->name);
+  }
+  if (names.empty()) {
+    if (!run_point) {
+      std::fputs(HelpText(intro).c_str(), stderr);
+      return 2;
+    }
+    if (!ResolveSinglePoint(&cl, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
+    }
+    return run_point(cl);
+  }
+  std::vector<const ScenarioSpec*> specs;
+  for (const std::string& name : names) {
+    specs.push_back(registry.Find(name));
+    if (specs.back() == nullptr) {
+      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", name.c_str());
+      return 2;
+    }
+  }
+  int exit_code = 0;
+  for (const ScenarioSpec* spec : specs) {
+    if (const int code = RunScenario(*spec, cl.run); code != 0) exit_code = code;
+  }
+  return exit_code;
 }
 
 }  // namespace hotstuff1

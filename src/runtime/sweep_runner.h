@@ -6,68 +6,15 @@
 #ifndef HOTSTUFF1_RUNTIME_SWEEP_RUNNER_H_
 #define HOTSTUFF1_RUNTIME_SWEEP_RUNNER_H_
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "runtime/config_schema.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
-
-enum class ReportFormat { kTable = 0, kCsv = 1, kJson = 2 };
-
-/// Parses "table" / "csv" / "json"; returns false on anything else.
-bool ParseReportFormat(const std::string& s, ReportFormat* out);
-
-struct ScenarioRunOptions {
-  int jobs = 1;          // worker threads across points (clamped to the count)
-  // Threads inside each experiment's event loop; 0 keeps each point's
-  // configured value. Ignored when the scenario itself sweeps sim_jobs as
-  // an axis (overriding would relabel its rows).
-  int sim_jobs = 0;
-  // Lookahead policy for every point (--lookahead); has_lookahead = false
-  // keeps each point's configured value. Like sim_jobs, ignored when the
-  // scenario sweeps lookahead as an axis.
-  bool has_lookahead = false;
-  LookaheadSpec lookahead;
-  // Traffic-model overrides (--arrival / --offered-load / --client-groups);
-  // applied to every point unless the scenario sweeps that field as an axis
-  // (the same respect-the-axis rule as sim_jobs / lookahead).
-  bool has_arrival = false;
-  ArrivalKind arrival = ArrivalKind::kClosedLoop;
-  bool has_offered_load = false;
-  double offered_load = 0;
-  uint32_t client_groups = 0;  // 0 keeps each point's configured value
-  // Authenticator-scheme override (--cert-scheme); applied to every point
-  // unless the scenario sweeps cert_scheme as an axis (fig_cert_size does).
-  bool has_cert_scheme = false;
-  CertScheme cert_scheme = CertScheme::kMultisigVector;
-  // Arms the online invariant oracle on every point (--oracle). Scenarios
-  // that enable it in their base config (fuzz) run with it regardless.
-  bool oracle = false;
-  // Adversary strategy schedule forced onto every point (--strategy; grammar
-  // in runtime/adversary.h). Respect-the-axis: ignored when the scenario
-  // sweeps the strategy itself (fig_liveness does).
-  bool has_strategy = false;
-  StrategySchedule strategy;
-  // Committee reconfiguration schedule forced onto every point (--reconfig;
-  // grammar in consensus/committee.h). Respect-the-axis: ignored when the
-  // scenario sweeps the schedule itself (fig_reconfig does).
-  bool has_reconfig = false;
-  CommitteeSchedule reconfig;
-  bool smoke = false;    // CI-sized points, endpoint-subsampled axes
-  // Reruns the scenario this many times and reports *median* wall-clock
-  // metrics (--repeat). Deterministic metrics are byte-identical across the
-  // reruns by contract, so only wall_ms-derived values change; medians make
-  // BENCH ledgers stable enough to gate on.
-  int repeat = 1;
-  // When non-empty, perf scenarios (throughput) additionally write their
-  // machine-readable ledger to this path (--bench-json). Sweep scenarios
-  // ignore it.
-  std::string bench_json;
-  ReportFormat format = ReportFormat::kTable;
-  std::ostream* out = nullptr;  // default std::cout
-};
 
 /// A completed sweep: points and index-aligned results.
 struct SweepOutcome {
@@ -79,6 +26,8 @@ struct SweepOutcome {
   /// omit the experiment diagnostic columns (safety_ok, oracle_violations,
   /// ...) instead of fabricating verdicts for runs that never happened.
   bool synthetic = false;
+  /// Set instead of results when an override made a point unrunnable.
+  std::string error;
 
   bool AllSafe() const;
   bool AnyCapHit() const;
@@ -98,94 +47,22 @@ struct SweepOutcome {
 ///
 /// Two orthogonal axes of parallelism compose here: `jobs` worker threads
 /// each run whole (config, seed) points (every Experiment owns its own
-/// Simulator/Network, so points never share state), while `sim_jobs > 0`
-/// forces every point's config to use that many threads *inside* its
-/// simulator event loop. Both are determinism-preserving: merged output is
-/// byte-identical at any (jobs, sim_jobs) combination.
+/// Simulator/Network, so points never share state), while a `sim-jobs`
+/// override sets the threads *inside* each point's simulator event loop.
+/// Both are determinism-preserving: merged output is byte-identical at any
+/// (jobs, sim-jobs) combination.
 class SweepRunner {
  public:
-  explicit SweepRunner(int jobs, int sim_jobs = 0)
-      : jobs_(jobs < 1 ? 1 : jobs), sim_jobs_(sim_jobs) {}
+  explicit SweepRunner(int jobs, std::vector<KnobSetting> overrides = {})
+      : jobs_(jobs < 1 ? 1 : jobs), overrides_(std::move(overrides)) {}
 
-  /// Forces `spec` onto every point's config (unless the scenario sweeps
-  /// lookahead itself — same respect-the-axis rule as sim_jobs).
-  SweepRunner& OverrideLookahead(const LookaheadSpec& spec) {
-    lookahead_ = spec;
-    has_lookahead_ = true;
-    return *this;
-  }
-
-  /// Arms the invariant oracle on every point (idempotent with scenarios
-  /// that already enable it; the oracle never changes simulation results).
-  SweepRunner& ForceOracle() {
-    force_oracle_ = true;
-    return *this;
-  }
-
-  /// Forces an arrival process onto every point (respect-the-axis rule).
-  SweepRunner& ForceArrival(ArrivalKind kind) {
-    arrival_ = kind;
-    has_arrival_ = true;
-    return *this;
-  }
-
-  /// Forces an aggregate offered load (txn/s) onto every point.
-  SweepRunner& ForceOfferedLoad(double tps) {
-    offered_load_ = tps;
-    has_offered_load_ = true;
-    return *this;
-  }
-
-  /// Forces the client-group shard count onto every point (0 = keep).
-  SweepRunner& ForceClientGroups(uint32_t groups) {
-    client_groups_ = groups;
-    return *this;
-  }
-
-  /// Forces an authenticator scheme onto every point (respect-the-axis rule:
-  /// ignored for scenarios that sweep cert_scheme themselves).
-  SweepRunner& ForceCertScheme(CertScheme scheme) {
-    cert_scheme_ = scheme;
-    has_cert_scheme_ = true;
-    return *this;
-  }
-
-  /// Forces an adversary strategy schedule onto every point (respect-the-axis
-  /// rule: ignored for scenarios that sweep the strategy themselves).
-  SweepRunner& ForceStrategy(const StrategySchedule& strategy) {
-    strategy_ = strategy;
-    has_strategy_ = true;
-    return *this;
-  }
-
-  /// Forces a committee reconfiguration schedule onto every point
-  /// (respect-the-axis rule: ignored for scenarios sweeping it themselves).
-  SweepRunner& ForceReconfig(const CommitteeSchedule& reconfig) {
-    reconfig_ = reconfig;
-    has_reconfig_ = true;
-    return *this;
-  }
-
-  /// Runs every expanded point of `spec` and returns merged results.
+  /// Runs every expanded point of `spec` and returns merged results. An
+  /// override that leaves a point unrunnable sets `error` and runs nothing.
   SweepOutcome Run(const ScenarioSpec& spec, bool smoke = false) const;
 
  private:
   int jobs_;
-  int sim_jobs_;
-  bool has_lookahead_ = false;
-  bool force_oracle_ = false;
-  LookaheadSpec lookahead_;
-  bool has_arrival_ = false;
-  ArrivalKind arrival_ = ArrivalKind::kClosedLoop;
-  bool has_offered_load_ = false;
-  double offered_load_ = 0;
-  uint32_t client_groups_ = 0;
-  bool has_cert_scheme_ = false;
-  CertScheme cert_scheme_ = CertScheme::kMultisigVector;
-  bool has_strategy_ = false;
-  StrategySchedule strategy_;
-  bool has_reconfig_ = false;
-  CommitteeSchedule reconfig_;
+  std::vector<KnobSetting> overrides_;
 };
 
 // Emitters over a merged outcome. All iterate points in spec order, so the
@@ -195,8 +72,16 @@ void EmitCsv(const SweepOutcome& outcome, std::ostream& os);
 void EmitJson(const SweepOutcome& outcome, std::ostream& os);
 
 /// Runs one registered scenario end to end (sweep or custom) and writes the
-/// requested format. Returns a process exit code (0 ok, 1 safety violation).
+/// requested format. Returns a process exit code (0 ok, 1 safety violation,
+/// 2 an override the scenario cannot run).
 int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options);
+
+/// The front end shared by hs1sim and hs1bench: --help, --list, and the
+/// scenarios named by --scenario, --all or positional arguments. A command
+/// line naming none goes to `run_point` with its resolved config (null:
+/// usage error). Flag errors exit 2.
+int CliMain(int argc, char** argv, const char* intro,
+            const std::function<int(const CommandLine&)>& run_point);
 
 }  // namespace hotstuff1
 

@@ -210,18 +210,5 @@ TEST(ArrivalProcessTest, FlashCrowdRampAndDecay) {
   EXPECT_NEAR(recovered, 50'000, 12'500);
 }
 
-TEST(ArrivalProcessTest, ParseAndNameRoundTrip) {
-  for (ArrivalKind kind : {ArrivalKind::kClosedLoop, ArrivalKind::kPoisson,
-                           ArrivalKind::kBursty, ArrivalKind::kDiurnal,
-                           ArrivalKind::kFlashCrowd}) {
-    ArrivalKind parsed;
-    ASSERT_TRUE(ParseArrivalKind(ArrivalKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  ArrivalKind parsed;
-  EXPECT_FALSE(ParseArrivalKind("junk", &parsed));
-  EXPECT_FALSE(ParseArrivalKind("", &parsed));
-}
-
 }  // namespace
 }  // namespace hotstuff1

@@ -1,7 +1,7 @@
-// Authenticator byte model: per-scheme share/certificate sizes, the
-// scheme-name round trip, legacy-equivalence of the default (unstamped)
-// model, and the StampAuth wiring that lets one message object report
-// different wire bytes per committee configuration. The consensus-visible
+// Authenticator byte model: per-scheme share/certificate sizes,
+// legacy-equivalence of the default (unstamped) model, and the StampAuth
+// wiring that lets one message object report different wire bytes per
+// committee configuration. The consensus-visible
 // Certificate contract is scheme-independent; only WireSize moves.
 
 #include <gtest/gtest.h>
@@ -53,22 +53,6 @@ TEST(AuthSizeModelTest, EmptyCertificateIsFreeUnderEveryScheme) {
   for (const AuthSizeModel& m : {kVector, kAggregate, kThreshold}) {
     EXPECT_EQ(m.CertBytes(0), 0u);
   }
-}
-
-TEST(AuthSizeModelTest, SchemeNamesRoundTripAndAliasesParse) {
-  for (CertScheme s : {CertScheme::kMultisigVector, CertScheme::kAggregate,
-                       CertScheme::kThreshold}) {
-    CertScheme parsed;
-    ASSERT_TRUE(ParseCertScheme(CertSchemeName(s), &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  CertScheme parsed;
-  EXPECT_TRUE(ParseCertScheme("multisig", &parsed));
-  EXPECT_EQ(parsed, CertScheme::kMultisigVector);
-  EXPECT_TRUE(ParseCertScheme("bls", &parsed));
-  EXPECT_EQ(parsed, CertScheme::kAggregate);
-  EXPECT_FALSE(ParseCertScheme("ecdsa", &parsed));
-  EXPECT_FALSE(ParseCertScheme("", &parsed));
 }
 
 // --- wiring: certificates and messages --------------------------------------

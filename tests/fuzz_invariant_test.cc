@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/config_schema.h"
 #include "runtime/experiment.h"
 #include "runtime/fuzz.h"
 #include "runtime/oracle.h"
@@ -88,8 +89,8 @@ TEST(OracleMutation, InjectedEquivocationCommitIsDetected) {
   // invariant, the configuration and the seed.
   const std::string& diag = res.oracle_first_violation;
   EXPECT_NE(diag.find("invariant"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("protocol=HotStuff-1"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("n=7"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("--protocol=hotstuff1 "), std::string::npos) << diag;
+  EXPECT_NE(diag.find("--n=7 "), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=3"), std::string::npos) << diag;
 
   // The equivocating commit itself surfaces as a commit-conflict in the

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/adversary.h"
+#include "runtime/config_schema.h"
 #include "runtime/experiment.h"
 #include "runtime/fuzz.h"
 #include "runtime/liveness.h"
@@ -167,13 +168,12 @@ TEST(LivenessOracleTest, DiagnosticsCarryConfigAndSeed) {
   LivenessOracle::Setup setup;
   setup.n = 4;
   setup.grace = Millis(100);
-  setup.seed = 77;
-  setup.config_summary = "protocol=HotStuff-1 n=4";
+  setup.config_summary = "--protocol=hotstuff1 --n=4 --seed=77";
   LivenessOracle oracle(&sim, setup);
   oracle.Finalize(Millis(200), false);
   ASSERT_EQ(oracle.violations(), 1u);
   const std::string diag = oracle.FirstDiagnostic();
-  EXPECT_NE(diag.find("protocol=HotStuff-1 n=4"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("--protocol=hotstuff1 --n=4"), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=77"), std::string::npos) << diag;
   EXPECT_NE(diag.find("event#"), std::string::npos) << diag;
 }
@@ -185,8 +185,7 @@ InvariantOracle::Setup RollbackSetup() {
   setup.n = 7;  // f = 2: epochs are 3 views wide
   setup.fault = Fault::kRollbackAttack;
   setup.rollback_victims = 1;  // victim = replica 0 (first correct id)
-  setup.seed = 5;
-  setup.config_summary = "protocol=test n=7";
+  setup.config_summary = "--n=7 --seed=5";
   return setup;
 }
 

@@ -156,6 +156,10 @@ TEST(HorizonTest, ParseLookaheadRoundTrips) {
   EXPECT_FALSE(ParseLookahead("fast", &spec));
   EXPECT_FALSE(ParseLookahead("-3", &spec));
   EXPECT_FALSE(ParseLookahead("12ms", &spec));
+  // Strict digits (common/parse.h): no sign, no whitespace, no overflow.
+  EXPECT_FALSE(ParseLookahead("+5", &spec));
+  EXPECT_FALSE(ParseLookahead(" 5", &spec));
+  EXPECT_FALSE(ParseLookahead("99999999999999999999", &spec));
 }
 
 // --- window engagement ------------------------------------------------------

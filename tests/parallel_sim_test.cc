@@ -271,10 +271,8 @@ TEST(ParallelExperimentTest, Fig8ScalabilityCsvByteIdentical) {
   ASSERT_NE(spec, nullptr);
 
   auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
-    SweepRunner runner(jobs, sim_jobs);
-    LookaheadSpec spec_la;
-    EXPECT_TRUE(ParseLookahead(lookahead, &spec_la)) << lookahead;
-    runner.OverrideLookahead(spec_la);
+    SweepRunner runner(jobs, {{"sim-jobs", std::to_string(sim_jobs)},
+                              {"lookahead", lookahead}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);
@@ -300,10 +298,8 @@ TEST(ParallelExperimentTest, FigSaturationCsvByteIdentical) {
   ASSERT_NE(spec, nullptr);
 
   auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
-    SweepRunner runner(jobs, sim_jobs);
-    LookaheadSpec spec_la;
-    EXPECT_TRUE(ParseLookahead(lookahead, &spec_la)) << lookahead;
-    runner.OverrideLookahead(spec_la);
+    SweepRunner runner(jobs, {{"sim-jobs", std::to_string(sim_jobs)},
+                              {"lookahead", lookahead}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);
@@ -325,23 +321,23 @@ TEST(ParallelExperimentTest, ParSpeedupCsvByteIdentical) {
   const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("par_speedup");
   ASSERT_NE(spec, nullptr);
 
-  auto run_csv = [&](int jobs, int sim_jobs, LookaheadMode mode) {
-    SweepRunner runner(jobs, sim_jobs);
-    runner.OverrideLookahead({mode, 0});
+  auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
+    SweepRunner runner(jobs, {{"sim-jobs", std::to_string(sim_jobs)},
+                              {"lookahead", lookahead}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);
     return os.str();
   };
-  const std::string baseline = run_csv(1, 1, LookaheadMode::kOff);
+  const std::string baseline = run_csv(1, 1, "off");
   EXPECT_FALSE(baseline.empty());
   EXPECT_EQ(baseline.find("wall_ms"), std::string::npos)
       << "wall_ms must not reach the machine-readable output";
   // Repeated run: wall-clock noise must not leak into the bytes.
-  EXPECT_EQ(run_csv(1, 1, LookaheadMode::kOff), baseline);
-  EXPECT_EQ(run_csv(2, 4, LookaheadMode::kOff), baseline);
-  EXPECT_EQ(run_csv(1, 8, LookaheadMode::kAuto), baseline);
-  EXPECT_EQ(run_csv(2, 1, LookaheadMode::kAuto), baseline);
+  EXPECT_EQ(run_csv(1, 1, "off"), baseline);
+  EXPECT_EQ(run_csv(2, 4, "off"), baseline);
+  EXPECT_EQ(run_csv(1, 8, "auto"), baseline);
+  EXPECT_EQ(run_csv(2, 1, "auto"), baseline);
 }
 
 }  // namespace

@@ -164,9 +164,9 @@ TEST(SweepRunnerTest, MultiSeedTablesCarryVarianceColumns) {
 }
 
 TEST(SweepRunnerTest, SimJobsOverrideRespectsSimJobsAxis) {
-  // A scenario that sweeps sim_jobs itself keeps its axis values even when
-  // the runner carries a global override; a scenario that does not gets the
-  // override applied to every point.
+  // One respect-the-axis rule for every knob: a scenario that sweeps the
+  // knob itself keeps its axis values even when the runner carries an
+  // override; a scenario that does not gets the override on every point.
   ScenarioSpec sweeping = TinySpec();
   sweeping.rows.clear();
   for (uint32_t jobs : {1u, 2u}) {
@@ -174,15 +174,58 @@ TEST(SweepRunnerTest, SimJobsOverrideRespectsSimJobsAxis) {
                                c.sim_jobs = jobs;
                              }});
   }
-  const SweepOutcome swept = SweepRunner(1, /*sim_jobs=*/8).Run(sweeping);
+  const SweepOutcome swept = SweepRunner(1, {{"sim-jobs", "8"}}).Run(sweeping);
   for (const SweepPoint& p : swept.points) {
     EXPECT_EQ(p.config.sim_jobs, static_cast<uint32_t>(std::stoi(p.row_label)));
   }
 
-  const SweepOutcome plain = SweepRunner(1, /*sim_jobs=*/2).Run(TinySpec());
+  const SweepOutcome plain = SweepRunner(1, {{"sim-jobs", "2"}}).Run(TinySpec());
   for (const SweepPoint& p : plain.points) {
     EXPECT_EQ(p.config.sim_jobs, 2u);
   }
+
+  // The same rule for a second knob: a cert_scheme column axis survives a
+  // --cert-scheme override while an unswept knob given alongside it applies.
+  ScenarioSpec schemes = TinySpec();
+  schemes.cols = {
+      {"vector",
+       [](ExperimentConfig& c) { c.cert_scheme = CertScheme::kMultisigVector; }},
+      {"threshold", [](ExperimentConfig& c) { c.cert_scheme = CertScheme::kThreshold; }}};
+  const SweepOutcome kept =
+      SweepRunner(1, {{"cert-scheme", "aggregate"}, {"sim-jobs", "2"}}).Run(schemes);
+  for (const SweepPoint& p : kept.points) {
+    EXPECT_EQ(CertSchemeName(p.config.cert_scheme), p.col_label);
+    EXPECT_EQ(p.config.sim_jobs, 2u);
+  }
+  const SweepOutcome forced =
+      SweepRunner(1, {{"cert-scheme", "aggregate"}}).Run(TinySpec());
+  for (const SweepPoint& p : forced.points) {
+    EXPECT_EQ(p.config.cert_scheme, CertScheme::kAggregate);
+  }
+}
+
+TEST(SweepRunnerTest, OverridesApplyUnderSmoke) {
+  // --smoke clamps every point's duration, which must not read as a duration
+  // axis: the axis check sees the points before the smoke mutator, and the
+  // flag wins over the shrink. The swept n keeps its row values.
+  ScenarioSpec spec = TinySpec();
+  spec.base.duration = Seconds(30);
+  const SweepOutcome outcome =
+      SweepRunner(1, {{"duration_ms", "60"}, {"n", "10"}}).Run(spec, /*smoke=*/true);
+  ASSERT_TRUE(outcome.error.empty()) << outcome.error;
+  ASSERT_FALSE(outcome.points.empty());
+  for (const SweepPoint& p : outcome.points) {
+    EXPECT_EQ(p.config.duration, Millis(60));
+    EXPECT_EQ(std::to_string(p.config.n), p.row_label);
+  }
+}
+
+TEST(SweepRunnerTest, OverrideThatBreaksAPointRunsNothing) {
+  // --faulty=5 cannot run at TinySpec's n=4 row: the sweep reports it in
+  // flag terms (hs1bench exits 2) instead of aborting inside Setup.
+  const SweepOutcome outcome = SweepRunner(1, {{"faulty", "5"}}).Run(TinySpec());
+  EXPECT_NE(outcome.error.find("--faulty=5"), std::string::npos) << outcome.error;
+  EXPECT_TRUE(outcome.results.empty());
 }
 
 TEST(SweepRunnerTest, ComputeStatsMatchesHandValues) {

@@ -11,231 +11,24 @@
 #include <cstdio>
 #include <string>
 
-#include "runtime/adversary.h"
+#include "runtime/config_schema.h"
 #include "runtime/experiment.h"
-#include "runtime/scenario.h"
 #include "runtime/sweep_runner.h"
-#include "tools/flags.h"
-#include "tools/scenario_cli.h"
 
 namespace hotstuff1 {
 namespace {
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out, R"(hs1sim - HotStuff-1 reproduction driver
+constexpr char kIntro[] = R"(hs1sim - HotStuff-1 reproduction driver
 
-  --protocol=hotstuff|hotstuff2|basic|hotstuff1|slotted   (default hotstuff1)
-  --n=<replicas>                (default 32)
-  --batch=<txns per block>      (default 100)
-  --duration_ms=<virtual ms>    (default 2000)
-  --warmup_ms=<virtual ms>      (default 300)
-  --timer_ms=<view timer>       (default 10)
-  --delta_ms=<assumed bound>    (default 1)
-  --workload=ycsb|tpcc          (default ycsb)
-  --regions=<1..5>              geo deployment (default 1 = LAN)
-  --fault=none|crash|slow|tailfork|rollback
-  --faulty=<count>              (default 0)
-  --victims=<rollback victims>  (default f)
-  --strategy=<schedule>         composable per-epoch adversary strategy for
-                                the --faulty coalition; entries
-                                "<from>[-<to>]:action[,action]" joined by ';'
-                                with actions equivocate|withhold|delay=<us>|
-                                target-leader, plus optional "epoch=<us>" and
-                                "gst=<us>" segments (see runtime/adversary.h).
-                                Example: "0-3:withhold;gst=120000". Also
-                                partition=<ids>|<ids>, outage=<regions>,
-                                jitter=<pct> environmental actions.
-  --reconfig=<schedule>         epoch-based committee reconfiguration:
-                                "<epoch>:<ids>" steps joined by ';', ids as
-                                "<id>" or "<lo>-<hi>" joined by '+' (see
-                                consensus/committee.h). Example:
-                                "0:0-15;4:0-11" shrinks to 12 members at
-                                epoch 4. Member ids must be < n.
-  --liveness_k=<views>          liveness oracle: flag >k correct views past
-                                GST without a correct commit (0 = auto)
-  --liveness_grace_ms=<ms>      liveness oracle: flag a run ending this long
-                                after GST with no correct commit (0 = auto)
-  --inject_delay_ms=<ms> --impaired=<k>   Fig. 9 style delay injection
-  --clients=<count>             (default 8*batch closed loop; 1M open loop)
-  --client-groups=<G>           client-pool shards (default 1; byte-identical
-                                results at any value)
-  --arrival=closed|poisson|bursty|diurnal|flash   traffic model (default
-                                closed = one outstanding txn per client)
-  --offered-load=<txn/s>        open-loop aggregate arrival rate (default 50000)
-  --cert-scheme=vector|aggregate|threshold   authenticator wire encoding
-                                (default vector = §7's n−f signature list;
-                                pure byte-size axis, results stay safe/live)
-  --max_slots=<k>               slotted: cap slots/view (0 = adaptive)
-  --no_speculation              disable speculative responses
-  --no_trusted_leader           disable the §6.3 fast path
-  --seed=<u64>                  (default 1)
-  --sim-jobs=<N>                parallel event-loop threads (default 1;
-                                results byte-identical at any value)
-  --lookahead=auto|off|<us>     lookahead window for the parallel event loop
-                                (default auto; byte-identical at any value)
-  --event_cap=<N>               stop a runaway run after N events (default 0 =
-                                unlimited; truncation is reported, never silent)
-  --oracle                      arm the online safety + liveness oracles
-                                (violations fail the run with a config+seed
-                                diagnostic)
-  --bandwidth_bytes_per_us=<B>  per-node egress bandwidth (default 2000)
-  --paper_point                 throughput at saturation + light-load latency
+Runs one experiment point, or registered scenarios (the hs1bench sweep
+engine) with --scenario=<name> / --list. Unknown flags and malformed or
+out-of-range values exit 2.
+)";
 
-Registered scenarios (the hs1bench sweep engine):
-  --list                        enumerate registered scenarios with their axes
-  --scenario=<name>             run a registered scenario instead of one point
-  --jobs=<N> --format=table|csv|json --smoke    scenario runner options
-  (--sim-jobs / --lookahead / --oracle / --arrival / --offered-load /
-   --client-groups / --cert-scheme / --strategy / --reconfig apply to
-   scenario points too)
-)");
-}
-
-int Usage() {
-  PrintUsage(stderr);
-  return 2;
-}
-
-int RunScenarioMode(const tools::Flags& flags) {
-  const std::string name = flags.GetString("scenario", "");
-  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", name.c_str());
-    return 2;
-  }
-  ScenarioRunOptions options;
-  if (!tools::ParseScenarioRunOptions(flags, &options)) return 2;
-  return RunScenario(*spec, options);
-}
-
-int RunMain(int argc, char** argv) {
-  tools::Flags flags(argc, argv);
-  if (flags.Has("help")) {
-    // Explicit --help is a success; exit code 2 stays reserved for flag errors.
-    PrintUsage(stdout);
-    return 0;
-  }
-  if (flags.Has("list")) return tools::ListScenarios();
-  if (flags.Has("scenario")) return RunScenarioMode(flags);
-
-  ExperimentConfig cfg;
-  const std::string proto = flags.GetString("protocol", "hotstuff1");
-  if (proto == "hotstuff") {
-    cfg.protocol = ProtocolKind::kHotStuff;
-  } else if (proto == "hotstuff2") {
-    cfg.protocol = ProtocolKind::kHotStuff2;
-  } else if (proto == "basic") {
-    cfg.protocol = ProtocolKind::kHotStuff1Basic;
-  } else if (proto == "hotstuff1") {
-    cfg.protocol = ProtocolKind::kHotStuff1;
-  } else if (proto == "slotted") {
-    cfg.protocol = ProtocolKind::kHotStuff1Slotted;
-  } else {
-    std::fprintf(stderr, "unknown protocol '%s'\n", proto.c_str());
-    return Usage();
-  }
-
-  cfg.n = static_cast<uint32_t>(flags.GetInt("n", 32));
-  cfg.batch_size = static_cast<uint32_t>(flags.GetInt("batch", 100));
-  cfg.duration = Millis(flags.GetDouble("duration_ms", 2000));
-  cfg.warmup = Millis(flags.GetDouble("warmup_ms", 300));
-  cfg.view_timer = Millis(flags.GetDouble("timer_ms", 10));
-  cfg.delta = Millis(flags.GetDouble("delta_ms", 1));
-  cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  cfg.num_clients = static_cast<uint32_t>(flags.GetInt("clients", 0));
-  const int64_t client_groups = flags.GetInt("client-groups", 1);
-  if (client_groups < 1 || client_groups > kMaxClientGroups) {
-    std::fprintf(stderr, "--client-groups must be in [1, %u]\n", kMaxClientGroups);
-    return Usage();
-  }
-  cfg.client_groups = static_cast<uint32_t>(client_groups);
-  if (flags.Has("arrival") &&
-      !ParseArrivalKind(flags.GetString("arrival", ""), &cfg.arrival.kind)) {
-    std::fprintf(stderr,
-                 "bad --arrival '%s' (want closed|poisson|bursty|diurnal|flash)\n",
-                 flags.GetString("arrival", "").c_str());
-    return Usage();
-  }
-  cfg.arrival.offered_load_tps =
-      flags.GetDouble("offered-load", cfg.arrival.offered_load_tps);
-  if (cfg.arrival.offered_load_tps <= 0) {
-    std::fprintf(stderr, "--offered-load must be a positive txn/s rate\n");
-    return Usage();
-  }
-  if (flags.Has("cert-scheme") &&
-      !ParseCertScheme(flags.GetString("cert-scheme", ""), &cfg.cert_scheme)) {
-    std::fprintf(stderr,
-                 "bad --cert-scheme '%s' (want vector|aggregate|threshold)\n",
-                 flags.GetString("cert-scheme", "").c_str());
-    return Usage();
-  }
-  cfg.max_slots = static_cast<uint32_t>(flags.GetInt("max_slots", 0));
-  cfg.speculation_enabled = !flags.GetBool("no_speculation", false);
-  cfg.trusted_leader_enabled = !flags.GetBool("no_trusted_leader", false);
-  cfg.inject_delay = Millis(flags.GetDouble("inject_delay_ms", 0));
-  cfg.num_impaired = static_cast<uint32_t>(flags.GetInt("impaired", 0));
-  const int64_t sim_jobs = flags.GetInt("sim-jobs", flags.GetInt("sim_jobs", 1));
-  if (sim_jobs < 1) {
-    std::fprintf(stderr, "--sim-jobs must be >= 1\n");
-    return Usage();
-  }
-  cfg.sim_jobs = static_cast<uint32_t>(sim_jobs);
-  if (flags.Has("lookahead") &&
-      !ParseLookahead(flags.GetString("lookahead", ""), &cfg.lookahead)) {
-    std::fprintf(stderr, "bad --lookahead '%s' (want auto|off|<microseconds>)\n",
-                 flags.GetString("lookahead", "").c_str());
-    return Usage();
-  }
-  const int64_t event_cap = flags.GetInt("event_cap", 0);
-  if (event_cap < 0) {
-    std::fprintf(stderr, "--event_cap must be >= 0\n");
-    return Usage();
-  }
-  cfg.event_cap = static_cast<uint64_t>(event_cap);
-  cfg.oracle_enabled = flags.GetBool("oracle", false);
-  cfg.bandwidth_bytes_per_us =
-      flags.GetDouble("bandwidth_bytes_per_us", cfg.bandwidth_bytes_per_us);
-
-  const std::string workload = flags.GetString("workload", "ycsb");
-  cfg.workload = workload == "tpcc" ? WorkloadKind::kTpcc : WorkloadKind::kYcsb;
-
-  const uint32_t regions = static_cast<uint32_t>(flags.GetInt("regions", 1));
-  if (regions > 1) {
-    cfg.topology = sim::Topology::Geo(cfg.n, regions);
-    if (!flags.Has("timer_ms")) cfg.view_timer = Millis(1200);
-    if (!flags.Has("delta_ms")) cfg.delta = Millis(160);
-  }
-
-  const std::string fault = flags.GetString("fault", "none");
-  if (fault == "crash") cfg.fault = Fault::kCrash;
-  if (fault == "slow") cfg.fault = Fault::kSlowLeader;
-  if (fault == "tailfork") cfg.fault = Fault::kTailFork;
-  if (fault == "rollback") cfg.fault = Fault::kRollbackAttack;
-  cfg.num_faulty = static_cast<uint32_t>(flags.GetInt("faulty", 0));
-  cfg.rollback_victims =
-      static_cast<uint32_t>(flags.GetInt("victims", (cfg.n - 1) / 3));
-  if (flags.Has("strategy")) {
-    std::string error;
-    if (!ParseStrategySchedule(flags.GetString("strategy", ""), &cfg.strategy,
-                               &error)) {
-      std::fprintf(stderr, "bad --strategy: %s\n", error.c_str());
-      return Usage();
-    }
-  }
-  if (flags.Has("reconfig")) {
-    std::string error;
-    if (!ParseCommitteeSchedule(flags.GetString("reconfig", ""), &cfg.reconfig,
-                                &error)) {
-      std::fprintf(stderr, "bad --reconfig: %s\n", error.c_str());
-      return Usage();
-    }
-  }
-  cfg.liveness_k = static_cast<uint64_t>(flags.GetInt("liveness_k", 0));
-  cfg.liveness_grace = Millis(flags.GetDouble("liveness_grace_ms", 0));
-
-  const ExperimentResult res = flags.GetBool("paper_point", false)
-                                   ? RunPaperPoint(cfg)
-                                   : RunExperiment(cfg);
+int RunPoint(const CommandLine& cl) {
+  const ExperimentConfig& cfg = cl.config;
+  const ExperimentResult res = cl.paper_point ? RunPaperPoint(cfg)
+                                              : RunExperiment(cfg);
 
   // Machine-friendly line first.
   std::printf(
@@ -259,9 +52,10 @@ int RunMain(int argc, char** argv) {
       static_cast<unsigned long long>(res.oracle_violations));
 
   std::printf("\n%s, n=%u (f=%u), batch=%u, %s%s\n", res.protocol.c_str(), cfg.n,
-              (cfg.n - 1) / 3, cfg.batch_size, workload.c_str(),
-              regions > 1 ? (", " + std::to_string(regions) + " regions").c_str()
-                          : "");
+              (cfg.n - 1) / 3, cfg.batch_size, FindKnob("workload")->get(cfg).c_str(),
+              cfg.regions > 1
+                  ? (", " + std::to_string(cfg.regions) + " regions").c_str()
+                  : "");
   std::printf("  throughput   %10.0f txn/s\n", res.throughput_tps);
   std::printf("  latency      %10.2f ms avg, %.2f ms p99\n", res.avg_latency_ms,
               res.p99_latency_ms);
@@ -300,4 +94,6 @@ int RunMain(int argc, char** argv) {
 }  // namespace
 }  // namespace hotstuff1
 
-int main(int argc, char** argv) { return hotstuff1::RunMain(argc, argv); }
+int main(int argc, char** argv) {
+  return hotstuff1::CliMain(argc, argv, hotstuff1::kIntro, hotstuff1::RunPoint);
+}
