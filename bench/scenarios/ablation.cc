@@ -50,7 +50,7 @@ ScenarioSpec Ablation() {
                            c.protocol = ProtocolKind::kHotStuff1Slotted;
                            c.max_slots = max_slots;
                            c.view_timer = Millis(20);
-                           c.fault = Fault::kSlowLeader;
+                           c.strategy = StrategySchedule::Always(kActSlow);
                            c.num_faulty = 5;  // f = 5 at n = 16
                          }});
   }

@@ -23,7 +23,7 @@ ScenarioSpec Fig10Rollback() {
 
   spec.base.n = 32;
   spec.base.batch_size = 100;
-  spec.base.fault = Fault::kRollbackAttack;
+  spec.base.strategy = StrategySchedule::Always(kActEquivocate);  // "0-:equivocate"
   spec.base.rollback_victims = 10;  // up to f correct replicas per attack
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);

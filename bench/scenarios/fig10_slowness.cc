@@ -25,7 +25,7 @@ ScenarioSpec Fig10Slowness() {
 
   spec.base.n = 32;
   spec.base.batch_size = 100;
-  spec.base.fault = Fault::kSlowLeader;
+  spec.base.strategy = StrategySchedule::Always(kActSlow);  // "0-:slow"
   spec.base.delta = Millis(1);
   spec.base.seed = 2024;
   // Safety valve for the long-running fault sweeps (see fig10_rollback).

@@ -23,7 +23,7 @@ ScenarioSpec Fig10TailFork() {
 
   spec.base.n = 32;
   spec.base.batch_size = 100;
-  spec.base.fault = Fault::kTailFork;
+  spec.base.strategy = StrategySchedule::Always(kActTailFork);  // "0-:tailfork"
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);
   spec.base.duration = BenchDuration(1500);

@@ -1,9 +1,9 @@
 // Attack resilience demo: what rational/malicious leaders do to a
 // streamlined chain, and how slotting neutralizes them (§6).
 //
-// Runs three scenarios on a 13-replica cluster (f = 4): honest, leader
-// slowness (D6), and tail-forking (D7), for HotStuff-1 with and without
-// slotting.
+// Runs four scenarios on a 13-replica cluster (f = 4): honest, leader
+// slowness (D6), tail-forking (D7) and the rollback attack, for HotStuff-1
+// with and without slotting.
 
 #include <cstdio>
 
@@ -11,7 +11,9 @@
 
 namespace {
 
-hotstuff1::ExperimentResult Run(hotstuff1::ProtocolKind kind, hotstuff1::Fault fault) {
+// `behaviour` is what the faulty leaders do throughout: a strategy action
+// such as kActSlow, i.e. the schedule "0-:slow" (kActNone = all honest).
+hotstuff1::ExperimentResult Run(hotstuff1::ProtocolKind kind, uint32_t behaviour) {
   using namespace hotstuff1;
   ExperimentConfig cfg;
   cfg.protocol = kind;
@@ -21,8 +23,8 @@ hotstuff1::ExperimentResult Run(hotstuff1::ProtocolKind kind, hotstuff1::Fault f
   cfg.warmup = Millis(250);
   cfg.view_timer = Millis(10);
   cfg.delta = Millis(1);
-  cfg.fault = fault;
-  cfg.num_faulty = fault == Fault::kNone ? 0 : 4;  // f faulty leaders
+  cfg.strategy = StrategySchedule::Always(behaviour);
+  cfg.num_faulty = behaviour == kActNone ? 0 : 4;  // f faulty leaders
   cfg.rollback_victims = 4;
   return RunPaperPoint(cfg);
 }
@@ -34,13 +36,13 @@ int main() {
 
   struct Scenario {
     const char* name;
-    Fault fault;
+    uint32_t behaviour;
   };
   const Scenario scenarios[] = {
-      {"honest", Fault::kNone},
-      {"slow leaders (D6)", Fault::kSlowLeader},
-      {"tail-forking (D7)", Fault::kTailFork},
-      {"rollback attack", Fault::kRollbackAttack},
+      {"honest", kActNone},
+      {"slow leaders (D6)", kActSlow},
+      {"tail-forking (D7)", kActTailFork},
+      {"rollback attack", kActEquivocate},
   };
 
   for (ProtocolKind kind :
@@ -50,13 +52,13 @@ int main() {
                 "resubmissions", "rollbacks");
     double honest_tps = 0;
     for (const Scenario& s : scenarios) {
-      const ExperimentResult res = Run(kind, s.fault);
-      if (s.fault == Fault::kNone) honest_tps = res.throughput_tps;
+      const ExperimentResult res = Run(kind, s.behaviour);
+      if (s.behaviour == kActNone) honest_tps = res.throughput_tps;
       std::printf("%-20s %12.0f %10.2fms %14llu %10llu", s.name,
                   res.throughput_tps, res.avg_latency_ms,
                   static_cast<unsigned long long>(res.resubmissions),
                   static_cast<unsigned long long>(res.rollback_events));
-      if (s.fault != Fault::kNone && honest_tps > 0) {
+      if (s.behaviour != kActNone && honest_tps > 0) {
         std::printf("   (%+.1f%% tput)",
                     100.0 * (res.throughput_tps - honest_tps) / honest_tps);
       }

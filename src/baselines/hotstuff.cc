@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "sim/message_pool.h"
-#include "runtime/adversary.h"
 #include "runtime/oracle.h"
 
 namespace hotstuff1 {
@@ -165,7 +164,7 @@ void ChainedReplica::HandleNewView(const NewViewMsg& msg) {
 
   // A tail-forking leader pretends it received no votes for the previous
   // proposal (Example 6.2) and never forms P(v-1).
-  const bool ignore_shares = adversary_.fault == Fault::kTailFork;
+  const bool ignore_shares = adversary_.TailForks(Now());
   if (msg.has_share && !ignore_shares &&
       msg.share_kind == CertKind::kPrepare && msg.voted_id.view + 1 == tv &&
       IsMember(msg.voted_id.view, msg.sender)) {
@@ -193,9 +192,9 @@ void ChainedReplica::MaybePropose(uint64_t v) {
   const uint64_t prev = v == 0 ? 0 : v - 1;  // senders finish view v-1
   if (st.senders.Count() < QuorumOf(prev)) return;
 
-  bool ready = st.formed || st.senders.Count() >= CommitteeNOf(prev) ||
-               st.share_timer_passed;
-  if (adversary_.fault == Fault::kTailFork) ready = true;
+  // A tail-forking leader never waits for P(v-1): it proposes on a quorum.
+  const bool ready = st.formed || st.senders.Count() >= CommitteeNOf(prev) ||
+                     st.share_timer_passed || adversary_.TailForks(Now());
   if (!ready) return;
   Propose(v);
 }
@@ -204,7 +203,7 @@ void ChainedReplica::Propose(uint64_t v) {
   LeaderViewState& st = nv_state_[v];
   st.proposed = true;
 
-  if (adversary_.fault == Fault::kSlowLeader) {
+  if (adversary_.SlowLeader(Now())) {
     // D6: the rational leader holds its proposal to collect high-fee
     // transactions, proposing only late in its view (Example 6.1).
     const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
@@ -215,12 +214,9 @@ void ChainedReplica::Propose(uint64_t v) {
     return;
   }
 
-  if (adversary_.Equivocates(Now()) && adversary_.faulty &&
-      high_cert_.block_id().view + 1 == v) {
+  if (adversary_.Equivocates(Now()) && high_cert_.block_id().view + 1 == v) {
     // §7.3 Rollback: equivocate across P(v-1) and P(v-2) so that a subset of
     // correct replicas speculates a block the winning branch abandons.
-    // (Either the legacy kRollbackAttack or a strategy schedule with an
-    // equivocate entry live in the current epoch lands here.)
     const Certificate honest = high_cert_;
     const Certificate* prev = JustifyOf(honest.block_hash());
     const BlockPtr parent_a = store_.GetOrNull(honest.block_hash());
@@ -238,10 +234,9 @@ void ChainedReplica::Propose(uint64_t v) {
       RecordJustify(block_a->hash(), honest);
       RecordJustify(block_b->hash(), *prev);
 
-      // Victim designation shared with the invariant oracle's exemption
-      // list — see RollbackVictimMask.
-      const std::vector<bool> mask_a = RollbackVictimMask(
-          config_.n, adversary_.faulty.get(), adversary_.rollback_victims);
+      // The victims get the honest branch, everyone else the conflicting
+      // one. The mask is the invariant oracle's exemption list too.
+      const std::vector<bool>& mask_a = *adversary_.victims;
       std::vector<bool> mask_b(config_.n);
       for (ReplicaId r = 0; r < config_.n; ++r) mask_b[r] = !mask_a[r];
 

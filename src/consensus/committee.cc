@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/parse.h"
+#include "common/replica_set.h"
 
 namespace hotstuff1 {
 
@@ -48,20 +49,10 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// Epochs and member ids stay below 10^9 to keep downstream arithmetic safe.
-constexpr uint64_t kMaxNumber = 999'999'999;
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
+// Epochs stay below 10^9 to keep downstream arithmetic safe; member ids fit
+// the quorum bitset, which also bounds what one "<lo>-<hi>" range expands to.
+constexpr uint64_t kMaxEpoch = 999'999'999;
+constexpr uint64_t kMaxId = ReplicaSet::kCapacity - 1;
 
 }  // namespace
 
@@ -75,28 +66,15 @@ bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,
       return Fail(error, "committee step without ':': '" + seg + "'");
     }
     uint64_t epoch = 0;
-    if (!ParseUint(seg.substr(0, colon), kMaxNumber, &epoch)) {
+    if (!ParseUint(seg.substr(0, colon), kMaxEpoch, &epoch)) {
       return Fail(error, "bad epoch in committee step: '" + seg + "'");
     }
     CommitteeStep step;
     step.from_epoch = static_cast<uint32_t>(epoch);
-    for (const std::string& range : Split(seg.substr(colon + 1), '+')) {
-      const size_t dash = range.find('-');
-      uint64_t lo = 0, hi = 0;
-      if (dash == std::string::npos) {
-        if (!ParseUint(range, kMaxNumber, &lo)) {
-          return Fail(error, "bad member id: '" + range + "'");
-        }
-        hi = lo;
-      } else {
-        if (!ParseUint(range.substr(0, dash), kMaxNumber, &lo) ||
-            !ParseUint(range.substr(dash + 1), kMaxNumber, &hi) || hi < lo) {
-          return Fail(error, "bad member range: '" + range + "'");
-        }
-      }
-      for (uint64_t id = lo; id <= hi; ++id) {
-        step.committee.members.push_back(static_cast<ReplicaId>(id));
-      }
+    if (!ParseIdList(seg.substr(colon + 1), kMaxId, &step.committee.members)) {
+      return Fail(error, "bad member list in committee step: '" + seg +
+                             "' (want <id> or <lo>-<hi> joined by '+', ids <= " +
+                             std::to_string(kMaxId) + ")");
     }
     std::sort(step.committee.members.begin(), step.committee.members.end());
     if (std::adjacent_find(step.committee.members.begin(),
@@ -124,17 +102,7 @@ std::string FormatCommitteeSchedule(const CommitteeSchedule& s) {
   for (const CommitteeStep& step : s.steps) {
     if (!text.empty()) text += ';';
     text += std::to_string(step.from_epoch);
-    text += ':';
-    // Re-compress the sorted id list into maximal inclusive ranges.
-    const std::vector<ReplicaId>& m = step.committee.members;
-    for (size_t i = 0; i < m.size();) {
-      size_t j = i;
-      while (j + 1 < m.size() && m[j + 1] == m[j] + 1) ++j;
-      if (i > 0) text += '+';
-      text += std::to_string(m[i]);
-      if (j > i) text += '-' + std::to_string(m[j]);
-      i = j + 1;
-    }
+    text += ':' + FormatIdList(step.committee.members);
   }
   return text;
 }

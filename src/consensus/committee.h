@@ -96,7 +96,9 @@ struct CommitteeSchedule {
 /// must have strictly increasing epochs; a schedule that does not start at
 /// epoch 0 gets no implicit prefix and is rejected. Every committee needs
 /// >= 4 members (the smallest BFT quorum geometry). Numbers are strict
-/// non-negative digit strings (no sign, no whitespace). An empty text
+/// non-negative digit strings (no sign, no whitespace); member ids are at
+/// most ReplicaSet::kCapacity - 1, so no range expands past the quorum
+/// bitset (the id list is common/parse.h's ParseIdList). An empty text
 /// parses to an empty (null-equivalent) schedule. `views_per_epoch` is left
 /// 0 — the runtime resolves it.
 bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,

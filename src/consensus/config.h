@@ -31,12 +31,14 @@ struct CostModel {
 };
 
 // --- composable adversary strategies -----------------------------------------
-// The legacy Fault enum below models three fixed attacks. The strategy
-// schedule generalizes them: per-epoch combinations of four primitives, each
-// independently toggled for the adversary coalition. runtime/adversary.{h,cc}
-// parses/formats schedules and threads them into AdversarySpec; replicas
-// consult them through the AdversarySpec helpers at their transport and
-// proposal choke points.
+// The strategy schedule is the only description of the adversary: per-epoch
+// combinations of the primitives below, each independently toggled for the
+// coalition. The §7.3 failure experiments are single entries of it: slow
+// leaders (D6) "0-:slow", tail-forking (D7) "0-:tailfork", the rollback
+// campaign "0-:equivocate" and a crashed coalition "0-:crash".
+// runtime/adversary.{h,cc} parses/formats schedules and threads them into
+// AdversarySpec; replicas consult them through the AdversarySpec helpers at
+// their transport and proposal choke points.
 
 /// Primitive adversary actions, combinable as a bitmask per epoch.
 enum StrategyAction : uint32_t {
@@ -64,6 +66,19 @@ enum StrategyAction : uint32_t {
   /// delay of up to jitter_pct% of its base latency (only ever *adds* delay,
   /// so the lookahead horizon stays valid). Environmental.
   kActJitter = 1u << 6,
+  /// D6 slow leader: as leader, hold the proposal until three quarters of
+  /// the view timer has run (Example 6.1). Under slotting the incentive
+  /// flips and the leader proposes promptly (the experiment's point), so
+  /// the slotted core ignores it.
+  kActSlow = 1u << 7,
+  /// D7 tail-forking: as leader, ignore the previous view's votes and extend
+  /// the certificate of view v-2, orphaning the previous proposal (Example
+  /// 6.2). The basic core, whose leader forms P(v) itself, ignores it.
+  kActTailFork = 1u << 8,
+  /// The coalition is down for the whole run. Only valid as the entry
+  /// "0-:crash"; Experiment::Setup crashes the members instead of arming
+  /// them.
+  kActCrash = 1u << 9,
 };
 
 /// Sentinel for an open-ended strategy entry.
@@ -108,6 +123,14 @@ struct StrategySchedule {
 
   bool empty() const { return entries.empty(); }
 
+  /// The schedule "0-:<actions>": the coalition does `actions` in every
+  /// epoch. kActNone gives the empty schedule.
+  static StrategySchedule Always(uint32_t actions) {
+    StrategySchedule s;
+    if (actions != kActNone) s.entries.push_back({0, kEpochForever, actions});
+    return s;
+  }
+
   bool HasAction(uint32_t action) const {
     for (const StrategyEntry& e : entries) {
       if (e.actions & action) return true;
@@ -133,10 +156,12 @@ struct StrategySchedule {
     return entries.empty() ? kActNone : ActionsInEpoch(EpochAt(now));
   }
 
-  /// Actions that perturb message timeliness (everything but equivocation;
-  /// an equivocating leader is a safety problem, not a progress problem).
-  /// Partitions, outages, and jitter are environmental interference: their
-  /// entries' ends (heal times) push GST just like coalition delay does.
+  /// Actions that perturb message timeliness. Equivocation is a safety
+  /// problem, not a progress problem; slow and tail-forking leaders still
+  /// propose within their view and a crashed coalition is within the fault
+  /// bound, so none of them interferes either. Partitions, outages, and
+  /// jitter are environmental interference: their entries' ends (heal
+  /// times) push GST just like coalition delay does.
   static constexpr uint32_t kInterference =
       kActWithhold | kActDelay | kActTargetLeader | kActPartition | kActOutage |
       kActJitter;
@@ -164,53 +189,36 @@ inline bool operator!=(const StrategySchedule& a, const StrategySchedule& b) {
   return !(a == b);
 }
 
-/// Byzantine behaviours used by the failure experiments (§7.3).
-enum class Fault : uint8_t {
-  kNone = 0,
-  kCrash = 1,
-  /// D6: as leader, delay proposing until the view timer is nearly over.
-  /// Under slotting the incentive flips and the leader proposes promptly
-  /// (the experiment's point), so slotted replicas ignore this flag.
-  kSlowLeader = 2,
-  /// D7: as leader, ignore the previous view's votes/certificate and extend
-  /// the certificate of view v-2, orphaning the previous proposal.
-  kTailFork = 3,
-  /// §7.3 Rollback: as leader, form P(v) but equivocate - send the honest
-  /// extension only to `rollback_victims` correct replicas and a conflicting
-  /// proposal (extending P(v-1)) to everyone else, forcing the victims to
-  /// roll back their speculation. Colluding faulty replicas vote for the
-  /// conflicting branch.
-  kRollbackAttack = 4,
-};
-
 struct AdversarySpec {
-  Fault fault = Fault::kNone;
-  /// For kRollbackAttack: |S|, the number of correct replicas to mislead.
-  uint32_t rollback_victims = 0;
   /// Faulty replicas vote for any proposal from a faulty leader, bypassing
-  /// safety checks (collusion). Defaults on for Byzantine faults.
+  /// safety checks (collusion). On when the schedule equivocates, slows or
+  /// tail-forks.
   bool collude = false;
   /// Shared membership of the adversary's coalition: faulty->at(r) is true
   /// iff replica r is adversary-controlled. Null for honest replicas.
   std::shared_ptr<const std::vector<bool>> faulty;
+  /// The §7.3 victim set an equivocating leader misleads: victims->at(r) is
+  /// true iff correct replica r gets the honest branch. Computed once per
+  /// run and shared with the invariant oracle, which exempts exactly this
+  /// set from rollback checks. Null when the schedule never equivocates.
+  std::shared_ptr<const std::vector<bool>> victims;
   /// Per-epoch strategy schedule (resolved: epoch_length > 0). Null for
-  /// honest replicas and for legacy fixed-fault runs without a schedule.
+  /// honest replicas.
   std::shared_ptr<const StrategySchedule> schedule;
 
-  bool IsByzantine() const {
-    return fault != Fault::kNone && fault != Fault::kCrash;
-  }
-
-  /// Schedule-driven actions live at `now` (legacy faults NOT folded in —
-  /// use the named helpers below for behaviour checks).
+  /// Schedule-driven actions live at `now`.
   uint32_t ScheduledActions(SimTime now) const {
     return schedule ? schedule->ActionsAt(now) : kActNone;
   }
-  /// The leader splits proposals across the victim mask. True for the legacy
-  /// kRollbackAttack in every epoch, and wherever the schedule says so.
+  /// The leader splits proposals across the victim mask.
   bool Equivocates(SimTime now) const {
-    return fault == Fault::kRollbackAttack ||
-           (ScheduledActions(now) & kActEquivocate) != 0;
+    return (ScheduledActions(now) & kActEquivocate) != 0;
+  }
+  bool SlowLeader(SimTime now) const {
+    return (ScheduledActions(now) & kActSlow) != 0;
+  }
+  bool TailForks(SimTime now) const {
+    return (ScheduledActions(now) & kActTailFork) != 0;
   }
   bool Withholds(SimTime now) const {
     return (ScheduledActions(now) & kActWithhold) != 0;

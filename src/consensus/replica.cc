@@ -1,6 +1,7 @@
 #include "consensus/replica.h"
 
 #include "common/logging.h"
+#include "core/speculation.h"
 #include "sim/message_pool.h"
 #include "runtime/liveness.h"
 #include "runtime/oracle.h"
@@ -232,6 +233,27 @@ void ReplicaBase::DeliverCommits(const std::vector<ExecResult>& committed) {
       ChargeCpu(config_.costs.ExecCost(res.block->txns().size()));
       RespondToClients(res.block, res.txn_results, /*speculative=*/false);
     }
+  }
+}
+
+void ReplicaBase::SpeculateAndRespond(const BlockPtr& certified, bool no_gap) {
+  const SpeculationPolicy policy{config_.speculation_enabled,
+                                 config_.enforce_prefix_rule,
+                                 config_.enforce_no_gap_rule};
+  const uint64_t rollbacks_before = ledger_.rollback_events();
+  const SpeculationOutcome out =
+      TrySpeculate(&ledger_, store_, certified, no_gap, policy);
+  if (ledger_.rollback_events() != rollbacks_before) {
+    ++metrics_.rollback_events;
+    metrics_.blocks_rolled_back += out.blocks_rolled_back;
+    if (oracle_) {
+      oracle_->OnRollback(id_, out.blocks_rolled_back, certified->id().view);
+    }
+  }
+  for (const SpeculatedBlock& sb : out.executed) {
+    ++metrics_.blocks_speculated;
+    ChargeCpu(config_.costs.ExecCost(sb.block->txns().size()));
+    RespondToClients(sb.block, sb.results, /*speculative=*/true);
   }
 }
 

@@ -96,6 +96,13 @@ class ReplicaBase {
   /// Sends committed responses for freshly committed blocks that were not
   /// already answered speculatively, and charges execution CPU.
   void DeliverCommits(const std::vector<ExecResult>& committed);
+  /// The one-phase speculation step every HotStuff-1 core runs when it
+  /// learns the certificate of `certified`: speculate it under the Prefix
+  /// Speculation rule and, per `no_gap` (the core's own adjacency test), the
+  /// No-Gap rule, rolling back diverging speculation (Def. 4.7) and
+  /// reporting it; then charge execution and respond speculatively for every
+  /// executed block.
+  void SpeculateAndRespond(const BlockPtr& certified, bool no_gap);
 
   /// Commits `target` and every uncommitted ancestor if the full path down
   /// to the committed tip is locally available; otherwise kicks off fetches

@@ -14,11 +14,7 @@ HotStuff1BasicReplica::HotStuff1BasicReplica(ReplicaId id,
                                              ResponseSink* sink,
                                              KvState initial_state)
     : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
-      high_prepare_(Certificate::Genesis()) {
-  policy_.enabled = config.speculation_enabled;
-  policy_.prefix_rule = config.enforce_prefix_rule;
-  policy_.no_gap_rule = config.enforce_no_gap_rule;
-}
+      high_prepare_(Certificate::Genesis()) {}
 
 void HotStuff1BasicReplica::UpdateHighPrepare(const Certificate& cert) {
   if (high_prepare_.block_id() < cert.block_id()) high_prepare_ = cert;
@@ -137,35 +133,23 @@ void HotStuff1BasicReplica::MaybePropose(uint64_t v) {
 }
 
 void HotStuff1BasicReplica::Propose(uint64_t v) {
-  LeaderViewState& st = state_[v];
-  st.proposed = true;
-
-  if (adversary_.fault == Fault::kSlowLeader) {
+  state_[v].proposed = true;
+  if (adversary_.SlowLeader(Now())) {
+    // D6: the rational leader holds its proposal to collect high-fee
+    // transactions, proposing only late in its view (Example 6.1).
     const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
     simulator()->At(when, [this, v]() {
-      if (crashed_ || view() != v) return;
-      LeaderViewState& s = state_[v];
-      s.proposed = true;
-      const BlockPtr parent = store_.GetOrNull(high_prepare_.block_hash());
-      if (!parent) return;
-      ChargeCpu(config_.costs.propose_base_us);
-      auto block = std::make_shared<Block>(BlockId{v, 1}, parent->hash(),
-                                           parent->height() + 1, id_, DrawBatch());
-      store_.Put(block);
-      RecordJustify(block->hash(), high_prepare_);
-      ++metrics_.blocks_proposed;
-      auto msg = sim::MakeMessage<ProposeMsg>(id_);
-      msg->block = std::move(block);
-      msg->justify = high_prepare_;
-      msg->commit_cert = high_commit_;
-      Broadcast(std::move(msg));
+      if (!crashed_ && view() == v) BuildAndSend(v);
     });
     return;
   }
+  BuildAndSend(v);
+}
 
+void HotStuff1BasicReplica::BuildAndSend(uint64_t v) {
   const BlockPtr parent = store_.GetOrNull(high_prepare_.block_hash());
   if (!parent) {
-    st.proposed = false;
+    state_[v].proposed = false;
     EnsureBlock(high_prepare_.block_hash(), LeaderOf(high_prepare_.block_id().view));
     return;
   }
@@ -301,20 +285,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
     if (target) TryCommit(target);
   }
 
-  const size_t rollbacks_before = ledger_.rollback_events();
-  SpeculationOutcome out = TrySpeculate(&ledger_, store_, certified, no_gap, policy_);
-  if (ledger_.rollback_events() != rollbacks_before) {
-    ++metrics_.rollback_events;
-    metrics_.blocks_rolled_back += out.blocks_rolled_back;
-    if (oracle_) {
-      oracle_->OnRollback(id_, out.blocks_rolled_back, certified->id().view);
-    }
-  }
-  for (const SpeculatedBlock& sb : out.executed) {
-    ++metrics_.blocks_speculated;
-    ChargeCpu(config_.costs.ExecCost(sb.block->txns().size()));
-    RespondToClients(sb.block, sb.results, /*speculative=*/true);
-  }
+  SpeculateAndRespond(certified, no_gap);
 
   // Vote to commit (Fig. 2 lines 28-29) and move to the next view. Standby
   // replicas advance their view clock without commit power.

@@ -20,7 +20,6 @@
 
 #include "common/replica_set.h"
 #include "consensus/replica.h"
-#include "core/speculation.h"
 
 namespace hotstuff1 {
 
@@ -57,6 +56,7 @@ class HotStuff1BasicReplica : public ReplicaBase {
   void HandleNewView(const NewViewMsg& msg);
   void MaybePropose(uint64_t view);
   void Propose(uint64_t view);
+  void BuildAndSend(uint64_t view);
   void ExitToNextView(uint64_t view);
   void UpdateHighPrepare(const Certificate& cert);
 
@@ -64,7 +64,6 @@ class HotStuff1BasicReplica : public ReplicaBase {
   std::optional<Certificate> high_commit_;
   uint64_t voted_view_ = 0;
   uint64_t commit_voted_view_ = 0;
-  SpeculationPolicy policy_;
   std::map<uint64_t, LeaderViewState> state_;
   // Proposals buffered until we enter their view.
   std::map<uint64_t, std::shared_ptr<const ProposeMsg>> pending_proposals_;

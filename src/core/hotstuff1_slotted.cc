@@ -15,11 +15,7 @@ HotStuff1SlottedReplica::HotStuff1SlottedReplica(
     : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
       high_cert_(Certificate::Genesis()),
       high_voted_hash_(Block::Genesis()->hash()),
-      distrusted_(config.n, false) {
-  policy_.enabled = config.speculation_enabled;
-  policy_.prefix_rule = config.enforce_prefix_rule;
-  policy_.no_gap_rule = config.enforce_no_gap_rule;
-}
+      distrusted_(config.n, false) {}
 
 bool HotStuff1SlottedReplica::FormedInView(const Certificate& cert, uint64_t v) {
   if (cert.kind() == CertKind::kNewSlot) return cert.view() == v;
@@ -192,7 +188,7 @@ void HotStuff1SlottedReplica::MaybeProposeFirst(uint64_t v) {
   LeaderState& st = lstate_[v];
   if (st.first_proposed) return;
 
-  const bool byzantine_suppress = adversary_.fault == Fault::kTailFork ||
+  const bool byzantine_suppress = adversary_.TailForks(Now()) ||
                                   adversary_.Equivocates(Now());
 
   // Trusted fast path: propose at network speed behind a correct previous
@@ -238,7 +234,7 @@ bool HotStuff1SlottedReplica::ProposeFirstSlot(uint64_t v) {
   LeaderState& st = lstate_[v];
 
   // Way (i): extend our own New-View certificate; no carry needed (Case 1).
-  const bool byzantine_suppress = adversary_.fault == Fault::kTailFork ||
+  const bool byzantine_suppress = adversary_.TailForks(Now()) ||
                                   adversary_.Equivocates(Now());
   if (st.formed_nv && !byzantine_suppress &&
       !(st.formed_nv->block_id() < high_cert_.block_id())) {
@@ -416,20 +412,7 @@ void HotStuff1SlottedReplica::ApplySpeculation(const Certificate& justify,
   const bool no_gap =
       (s == justify.block_id().slot + 1 && v == justify.block_id().view) ||
       (s == 1 && v == justify.block_id().view + 1);
-  const size_t rollbacks_before = ledger_.rollback_events();
-  SpeculationOutcome out = TrySpeculate(&ledger_, store_, certified, no_gap, policy_);
-  if (ledger_.rollback_events() != rollbacks_before) {
-    ++metrics_.rollback_events;
-    metrics_.blocks_rolled_back += out.blocks_rolled_back;
-    if (oracle_) {
-      oracle_->OnRollback(id_, out.blocks_rolled_back, certified->id().view);
-    }
-  }
-  for (const SpeculatedBlock& sb : out.executed) {
-    ++metrics_.blocks_speculated;
-    ChargeCpu(config_.costs.ExecCost(sb.block->txns().size()));
-    RespondToClients(sb.block, sb.results, /*speculative=*/true);
-  }
+  SpeculateAndRespond(certified, no_gap);
 }
 
 void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {

@@ -28,7 +28,6 @@
 
 #include "common/replica_set.h"
 #include "consensus/replica.h"
-#include "core/speculation.h"
 
 namespace hotstuff1 {
 
@@ -100,7 +99,6 @@ class HotStuff1SlottedReplica : public ReplicaBase {
   uint32_t next_slot_ = 1;   // next slot we may vote on in slot_view_
   uint64_t slot_view_ = 0;
   std::vector<bool> distrusted_;
-  SpeculationPolicy policy_;
 
   std::map<uint64_t, LeaderState> lstate_;
   std::map<uint64_t, std::vector<std::shared_ptr<const ProposeMsg>>> pending_proposals_;

@@ -1,7 +1,5 @@
 #include "core/hotstuff1_streamlined.h"
 
-#include "runtime/oracle.h"
-
 namespace hotstuff1 {
 
 bool HotStuff1StreamlinedReplica::TestBreakSafetyCommit(const BlockPtr& certified) {
@@ -38,23 +36,7 @@ void HotStuff1StreamlinedReplica::ProcessCertificate(const Certificate& justify,
 
   // No-Gap rule (Def. 3.2): the certificate must be from the immediately
   // preceding view.
-  const bool no_gap = justify.block_id().view + 1 == proposal_view;
-  const size_t rollbacks_before = ledger_.rollback_events();
-  SpeculationOutcome out =
-      TrySpeculate(&ledger_, store_, certified, no_gap, policy_);
-  if (out.blocks_rolled_back > 0 ||
-      ledger_.rollback_events() != rollbacks_before) {
-    ++metrics_.rollback_events;
-    metrics_.blocks_rolled_back += out.blocks_rolled_back;
-    if (oracle_) {
-      oracle_->OnRollback(id_, out.blocks_rolled_back, certified->id().view);
-    }
-  }
-  for (const SpeculatedBlock& sb : out.executed) {
-    ++metrics_.blocks_speculated;
-    ChargeCpu(config_.costs.ExecCost(sb.block->txns().size()));
-    RespondToClients(sb.block, sb.results, /*speculative=*/true);
-  }
+  SpeculateAndRespond(certified, justify.block_id().view + 1 == proposal_view);
 }
 
 }  // namespace hotstuff1

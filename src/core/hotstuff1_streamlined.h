@@ -9,7 +9,6 @@
 #define HOTSTUFF1_CORE_HOTSTUFF1_STREAMLINED_H_
 
 #include "baselines/hotstuff.h"
-#include "core/speculation.h"
 
 namespace hotstuff1 {
 
@@ -20,11 +19,7 @@ class HotStuff1StreamlinedReplica : public ChainedReplica {
                               TransactionSource* source, ResponseSink* sink,
                               KvState initial_state)
       : ChainedReplica(id, config, net, registry, source, sink,
-                       std::move(initial_state)) {
-    policy_.enabled = config.speculation_enabled;
-    policy_.prefix_rule = config.enforce_prefix_rule;
-    policy_.no_gap_rule = config.enforce_no_gap_rule;
-  }
+                       std::move(initial_state)) {}
 
   const char* Name() const override { return "HotStuff-1"; }
 
@@ -39,8 +34,6 @@ class HotStuff1StreamlinedReplica : public ChainedReplica {
   /// invariant oracle must detect. Returns true when the bug fired (the
   /// replica then halts, see the .cc for why).
   bool TestBreakSafetyCommit(const BlockPtr& certified);
-
-  SpeculationPolicy policy_;
 };
 
 }  // namespace hotstuff1

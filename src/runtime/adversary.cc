@@ -5,53 +5,48 @@
 
 #include "common/logging.h"
 #include "common/parse.h"
+#include "common/replica_set.h"
 
 namespace hotstuff1 {
 
 AdversarySpec AdversaryPlan::SpecFor(ReplicaId r) const {
   AdversarySpec spec;
   if (!faulty_mask || !(*faulty_mask)[r]) return spec;
-  spec.fault = fault;
-  spec.collude = (fault != Fault::kNone && fault != Fault::kCrash) ||
-                 (schedule && schedule->HasAction(kActEquivocate));
+  // The conflicting branch needs the coalition's votes, and slow or
+  // tail-forking leaders are backed by their fellow members.
+  spec.collude =
+      schedule && schedule->HasAction(kActEquivocate | kActSlow | kActTailFork);
   spec.faulty = faulty_mask;
-  spec.rollback_victims = rollback_victims;
+  spec.victims = victims;
   spec.schedule = schedule;
   return spec;
 }
 
-AdversaryPlan MakeAdversaryPlan(uint32_t n, Fault fault, uint32_t count,
+AdversaryPlan MakeAdversaryPlan(uint32_t n, uint32_t count,
                                 uint32_t rollback_victims,
                                 StrategySchedule schedule) {
   HS1_CHECK_LT(count, n);
   AdversaryPlan plan;
-  plan.fault = fault;
-  // |S| <= f (see header): over-asking for victims silently models a
-  // different, client-safety-breaking adversary, so clamp instead.
-  plan.rollback_victims = std::min(rollback_victims, (n - 1) / 3);
   auto mask = std::make_shared<std::vector<bool>>(n, false);
-  for (uint32_t i = 1; i <= count && i < n; ++i) {
-    plan.members.push_back(i);
-    (*mask)[i] = true;
-  }
-  plan.faulty_mask = std::move(mask);
+  for (uint32_t i = 1; i <= count; ++i) (*mask)[i] = true;
   if (!schedule.empty()) {
     HS1_CHECK_GE(schedule.epoch_length, 1);  // callers resolve before planning
+    if (schedule.HasAction(kActEquivocate)) {
+      // |S| <= f (see header): over-asking for victims silently models a
+      // different, client-safety-breaking adversary, so clamp instead.
+      uint32_t left = std::min(rollback_victims, (n - 1) / 3);
+      auto victims = std::make_shared<std::vector<bool>>(n, false);
+      for (ReplicaId r = 0; r < n && left > 0; ++r) {
+        if ((*mask)[r]) continue;
+        (*victims)[r] = true;
+        --left;
+      }
+      plan.victims = std::move(victims);
+    }
     plan.schedule = std::make_shared<const StrategySchedule>(std::move(schedule));
   }
+  plan.faulty_mask = std::move(mask);
   return plan;
-}
-
-std::vector<bool> RollbackVictimMask(uint32_t n, const std::vector<bool>* faulty,
-                                     uint32_t victims) {
-  std::vector<bool> mask(n, false);
-  uint32_t chosen = 0;
-  for (ReplicaId r = 0; r < n && chosen < victims; ++r) {
-    if (faulty != nullptr && (*faulty)[r]) continue;
-    mask[r] = true;
-    ++chosen;
-  }
-  return mask;
 }
 
 namespace {
@@ -61,56 +56,13 @@ bool Fail(std::string* error, std::string msg) {
   return false;
 }
 
-// Every number in the grammar ends up in a SimTime (int64) or narrower.
+// Durations end up in a SimTime (int64); epochs stay below the open-ended
+// sentinel; partition ids fit the quorum bitset and outage regions the
+// paper's five regions, which also bounds what an id range expands to.
 constexpr uint64_t kMaxNumber = std::numeric_limits<SimTime>::max();
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
-}
-
-/// Parses "<id>|<lo>-<hi>" terms joined by '+' into an id list (e.g.
-/// "0-3+8" -> {0,1,2,3,8}). Returns false on malformed or empty input.
-bool ParseIdList(const std::string& s, std::vector<uint32_t>* out) {
-  for (const std::string& part : Split(s, '+')) {
-    uint64_t lo = 0, hi = 0;
-    const size_t dash = part.find('-');
-    if (dash == std::string::npos) {
-      if (!ParseUint(part, kMaxNumber, &lo)) return false;
-      out->push_back(static_cast<uint32_t>(lo));
-    } else {
-      if (!ParseUint(part.substr(0, dash), kMaxNumber, &lo) ||
-          !ParseUint(part.substr(dash + 1), kMaxNumber, &hi) || hi < lo) {
-        return false;
-      }
-      for (uint64_t i = lo; i <= hi; ++i) out->push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return !out->empty();
-}
-
-/// Canonical text form of an id list: maximal runs re-compressed to
-/// "lo-hi", joined by '+'.
-std::string FormatIdList(const std::vector<uint32_t>& ids) {
-  std::string out;
-  size_t i = 0;
-  while (i < ids.size()) {
-    size_t j = i;
-    while (j + 1 < ids.size() && ids[j + 1] == ids[j] + 1) ++j;
-    if (!out.empty()) out += "+";
-    out += std::to_string(ids[i]);
-    if (j > i) out += "-" + std::to_string(ids[j]);
-    i = j + 1;
-  }
-  return out;
-}
+constexpr uint64_t kMaxEpoch = kEpochForever - 1;
+constexpr uint64_t kMaxReplica = ReplicaSet::kCapacity - 1;
+constexpr uint64_t kMaxRegion = 4;
 
 bool ParseEntry(const std::string& segment, StrategyEntry* out,
                 std::string* error) {
@@ -123,20 +75,20 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
   uint64_t from = 0, to = 0;
   const size_t dash = range.find('-');
   if (dash == std::string::npos) {
-    if (!ParseUint(range, kMaxNumber, &from)) {
+    if (!ParseUint(range, kMaxEpoch, &from)) {
       return Fail(error, "bad epoch '" + range + "'");
     }
     entry.from_epoch = static_cast<uint32_t>(from);
     entry.to_epoch = entry.from_epoch + 1;  // single epoch
   } else {
-    if (!ParseUint(range.substr(0, dash), kMaxNumber, &from)) {
+    if (!ParseUint(range.substr(0, dash), kMaxEpoch, &from)) {
       return Fail(error, "bad epoch range '" + range + "'");
     }
     entry.from_epoch = static_cast<uint32_t>(from);
     const std::string to_str = range.substr(dash + 1);
     if (to_str.empty()) {
       entry.to_epoch = kEpochForever;
-    } else if (ParseUint(to_str, kMaxNumber, &to) && to > from) {
+    } else if (ParseUint(to_str, kMaxEpoch, &to) && to > from) {
       entry.to_epoch = static_cast<uint32_t>(to);
     } else {
       return Fail(error, "bad epoch range '" + range + "' (want to > from)");
@@ -149,6 +101,12 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
       entry.actions |= kActWithhold;
     } else if (action == "target-leader") {
       entry.actions |= kActTargetLeader;
+    } else if (action == "slow") {
+      entry.actions |= kActSlow;
+    } else if (action == "tailfork") {
+      entry.actions |= kActTailFork;
+    } else if (action == "crash") {
+      entry.actions |= kActCrash;
     } else if (action.rfind("delay=", 0) == 0) {
       uint64_t us = 0;
       if (!ParseUint(action.substr(6), kMaxNumber, &us) || us == 0) {
@@ -161,10 +119,11 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
       std::vector<bool> seen;
       for (const std::string& g : Split(action.substr(10), '|')) {
         std::vector<uint32_t> ids;
-        if (!ParseIdList(g, &ids)) {
+        if (!ParseIdList(g, kMaxReplica, &ids)) {
           return Fail(error, "bad '" + action +
-                                 "' (want partition=<ids>('|'<ids>)+, ids as "
-                                 "<id> or <lo>-<hi> joined by '+')");
+                                 "' (want partition=<ids>('|'<ids>)+, ids <= " +
+                                 std::to_string(kMaxReplica) +
+                                 " as <id> or <lo>-<hi> joined by '+')");
         }
         for (const uint32_t id : ids) {
           if (id >= seen.size()) seen.resize(id + 1, false);
@@ -183,9 +142,9 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
       entry.partition = std::move(groups);
     } else if (action.rfind("outage=", 0) == 0) {
       std::vector<uint32_t> regions;
-      if (!ParseIdList(action.substr(7), &regions)) {
-        return Fail(error,
-                    "bad '" + action + "' (want outage=<region>('+'<region>)*)");
+      if (!ParseIdList(action.substr(7), kMaxRegion, &regions)) {
+        return Fail(error, "bad '" + action +
+                               "' (want outage=<region>('+'<region>)*, regions 0-4)");
       }
       entry.actions |= kActOutage;
       entry.outage_regions = std::move(regions);
@@ -199,12 +158,19 @@ bool ParseEntry(const std::string& segment, StrategyEntry* out,
     } else {
       return Fail(error, "unknown strategy action '" + action +
                              "' (want equivocate|withhold|delay=<us>|"
-                             "target-leader|partition=<groups>|"
-                             "outage=<regions>|jitter=<pct>)");
+                             "target-leader|slow|tailfork|crash|"
+                             "partition=<groups>|outage=<regions>|jitter=<pct>)");
     }
   }
   if (entry.actions == kActNone) {
     return Fail(error, "strategy entry '" + segment + "' has no actions");
+  }
+  if ((entry.actions & kActCrash) &&
+      (entry.actions != kActCrash || entry.from_epoch != 0 ||
+       entry.to_epoch != kEpochForever)) {
+    return Fail(error, "bad strategy entry '" + segment +
+                           "' (crash is only accepted as '0-:crash': a "
+                           "crashed coalition is down for the whole run)");
   }
   *out = entry;
   return true;
@@ -266,6 +232,9 @@ std::string FormatStrategySchedule(const StrategySchedule& schedule) {
     if (e.actions & kActWithhold) add("withhold");
     if (e.actions & kActDelay) add("delay=" + std::to_string(e.delay));
     if (e.actions & kActTargetLeader) add("target-leader");
+    if (e.actions & kActSlow) add("slow");
+    if (e.actions & kActTailFork) add("tailfork");
+    if (e.actions & kActCrash) add("crash");
     if (e.actions & kActPartition) {
       std::string p = "partition=";
       for (size_t g = 0; g < e.partition.size(); ++g) {

@@ -1,4 +1,4 @@
-// Helpers for placing Byzantine/crash faults across a replica set, plus the
+// Placement of the adversary coalition across a replica set, plus the
 // composable per-epoch strategy-schedule library (parse/format and plan
 // threading; the primitive semantics live in consensus/config.h).
 
@@ -15,44 +15,34 @@
 namespace hotstuff1 {
 
 /// Fault placement for an experiment: which replicas are adversarial and
-/// what they do.
+/// the schedule they follow.
 struct AdversaryPlan {
-  Fault fault = Fault::kNone;
-  /// Faulty replica ids (contiguous from 1 by default, so that round-robin
-  /// leadership hits them every rotation).
-  std::vector<ReplicaId> members;
+  /// Faulty replicas (ids 1..count, so that round-robin leadership hits
+  /// them every rotation).
   std::shared_ptr<const std::vector<bool>> faulty_mask;
-  uint32_t rollback_victims = 0;
+  /// The §7.3 victim set when the schedule equivocates, else null (see
+  /// AdversarySpec::victims).
+  std::shared_ptr<const std::vector<bool>> victims;
   /// Resolved strategy schedule shared by every coalition member (null when
-  /// the run uses only a legacy fixed fault).
+  /// the run has none).
   std::shared_ptr<const StrategySchedule> schedule;
 
-  /// Per-replica spec (kNone for honest replicas).
+  /// Per-replica spec (inert for honest replicas).
   AdversarySpec SpecFor(ReplicaId r) const;
 };
 
-/// Builds a plan with `count` faulty replicas of behaviour `fault`, placed
+/// Builds a plan with `count` faulty replicas following `schedule`, placed
 /// at ids 1..count (id 0 stays honest as the measurement observer).
-/// `rollback_victims` is clamped to f = (n-1)/3: the §7.3 attack misleads a
-/// subset S of correct replicas with |S| <= f — any more and the doomed
-/// branch could gather an n-f speculative client quorum, which would break
-/// client safety (Cor. B.10) rather than model the paper's adversary.
-/// `schedule` must be resolved (epoch_length > 0) or empty; a schedule with
-/// an equivocate entry turns collusion on for the coalition (the conflicting
-/// branch needs the coalition's votes, exactly as under kRollbackAttack).
-AdversaryPlan MakeAdversaryPlan(uint32_t n, Fault fault, uint32_t count,
+/// `schedule` must be resolved (epoch_length > 0) or empty. When it
+/// equivocates, the victims are the first `rollback_victims` correct
+/// replicas in id order, with the count clamped to f = (n-1)/3: the §7.3
+/// attack misleads a subset S of correct replicas with |S| <= f — any more
+/// and the doomed branch could gather an n-f speculative client quorum,
+/// which would break client safety (Cor. B.10) rather than model the
+/// paper's adversary.
+AdversaryPlan MakeAdversaryPlan(uint32_t n, uint32_t count,
                                 uint32_t rollback_victims = 0,
                                 StrategySchedule schedule = {});
-
-/// The designated victim set of the §7.3 rollback attack: the first
-/// `victims` correct replicas in id order. mask[r] is true iff r is a
-/// victim. Single source of truth consumed by BOTH sides — the attacking
-/// leader (which sends the honest branch exactly to this set) and the
-/// invariant oracle (which exempts exactly this set from rollback checks);
-/// any drift between the two would mis-attribute rollbacks.
-/// `faulty` may be null (no replica is faulty).
-std::vector<bool> RollbackVictimMask(uint32_t n, const std::vector<bool>* faulty,
-                                     uint32_t victims);
 
 // --- strategy-schedule text form ---------------------------------------------
 // Grammar (the --strategy flag; see docs/scenario-authoring.md):
@@ -63,6 +53,7 @@ std::vector<bool> RollbackVictimMask(uint32_t n, const std::vector<bool>* faulty
 //   range     := <from> | <from> '-' | <from> '-' <to>      (to exclusive,
 //                "<from>-" = open-ended)
 //   action    := "equivocate" | "withhold" | "delay=" <us> | "target-leader"
+//              | "slow" | "tailfork" | "crash"     (crash: only "0-:crash")
 //              | "partition=" group ('|' group)+   (group := idlist)
 //              | "outage=" idlist                  (correlated region outage)
 //              | "jitter=" <pct>                   (WAN jitter, % of latency)
@@ -71,9 +62,15 @@ std::vector<bool> RollbackVictimMask(uint32_t n, const std::vector<bool>* faulty
 //
 // All numbers are plain digit strings: no sign characters, no whitespace
 // ("+5" and " 5" are rejected — Format never emits them, and accepting them
-// would break the round-trip contract).
+// would break the round-trip contract). Epochs stay below kEpochForever,
+// partition ids below ReplicaSet::kCapacity and outage regions below 5 (the
+// paper's regions), so no range expands without bound; CheckConfig
+// (runtime/config_schema.h) then rejects ids and regions the run lacks.
 //
 // Examples: "0-:withhold"            withhold forever
+//           "0-:slow"               Fig. 10(a-d) slow leaders (D6)
+//           "0-:tailfork;1-3:withhold"  tail-fork throughout, and also
+//                                       go silent in epochs 1-2
 //           "1-3:delay=5000;gst=90000"  5ms extra delay in epochs 1-2,
 //                                       declared GST at 90ms
 //           "0-3:partition=0-7|8-15"    split the first 16 replicas into two

@@ -200,14 +200,14 @@ std::vector<Knob> MakeKnobs() {
            "traffic model (default closed loop)"),
       KNOB(kConfig, "offered-load", Decimal("<decimal>", 0.001, 1e12),
            arrival.offered_load_tps, "open-loop arrivals, txn/s (default 50000)"),
-      KNOB(kConfig, "fault", Enum<Fault>({"none", "crash", "slow", "tailfork", "rollback"}),
-           fault, "fixed behaviour of the --faulty coalition"),
       KNOB(kConfig, "faulty", Uint(0, kReplicas - 1), num_faulty,
            "coalition size: replicas 1..k (default 0)"),
       KNOB(kConfig, "victims", Uint(0, kReplicas), rollback_victims,
            "rollback victims, clamped to f (default f)"),
       KNOB(kConfig, "strategy", strategy, strategy,
-           "per-epoch coalition strategy, e.g. \"0-3:withhold;\n"
+           "what the --faulty coalition does per epoch:\n"
+           "0-:slow (D6), 0-:tailfork (D7), 0-:equivocate\n"
+           "(rollback), 0-:crash, or e.g. \"0-3:withhold;\n"
            "gst=120000\" (grammar: runtime/adversary.h)"),
       KNOB(kConfig, "reconfig", committee, reconfig,
            "committee schedule, e.g. \"0:0-15;4:0-11\"\n"
@@ -326,6 +326,24 @@ std::string CheckConfig(const ExperimentConfig& c) {
     return "--n=" + n + " --regions=" + std::to_string(c.regions) +
            " do not fit the scenario's own " + std::to_string(c.topology.n) +
            "-node topology";
+  }
+  const size_t regions = c.topology.n != 0 ? c.topology.region_latency.size() : c.regions;
+  for (const StrategyEntry& e : c.strategy.entries) {
+    for (const std::vector<uint32_t>& group : e.partition) {
+      for (const uint32_t id : group) {
+        if (id >= c.n) {
+          return "--strategy partitions replica " + std::to_string(id) +
+                 ", outside --n=" + n;
+        }
+      }
+    }
+    for (const uint32_t region : e.outage_regions) {
+      if (region >= regions) {
+        return "--strategy takes down region " + std::to_string(region) +
+               ", but the run's regions are 0.." + std::to_string(regions - 1) +
+               " (--regions)";
+      }
+    }
   }
   return {};
 }

@@ -91,8 +91,9 @@ struct CommandLine {
 bool ParseCommandLine(int argc, const char* const* argv, CommandLine* out,
                       std::string* error);
 
-/// What Experiment::Setup would otherwise abort on, in flag terms; "" when
-/// the config is runnable.
+/// What Experiment::Setup would otherwise abort on or silently ignore (a
+/// strategy naming replicas or regions the run lacks), in flag terms; ""
+/// when the config is runnable.
 std::string CheckConfig(const ExperimentConfig& config);
 
 /// The one post-parse step of an hs1sim point, so no default depends on

@@ -202,8 +202,8 @@ void Experiment::Setup() {
     // Auto epoch: one pacemaker epoch (f+1 views) of wall-clock time.
     schedule.epoch_length = static_cast<SimTime>(f + 1) * config_.view_timer;
   }
-  plan_ = MakeAdversaryPlan(n, config_.fault, config_.num_faulty,
-                            config_.rollback_victims, std::move(schedule));
+  plan_ = MakeAdversaryPlan(n, config_.num_faulty, config_.rollback_victims,
+                            std::move(schedule));
 
   // The event cap needs the serial tick boundary for exact accounting, so
   // the parallel executor silently pins itself to tick-parallel while a cap
@@ -214,10 +214,8 @@ void Experiment::Setup() {
   if (config_.oracle_enabled) {
     InvariantOracle::Setup os;
     os.n = n;
-    os.fault = config_.fault;
-    os.rollback_victims = plan_.rollback_victims;  // post-clamp
     os.faulty_mask = plan_.faulty_mask;
-    os.schedule = plan_.schedule;
+    os.victims = plan_.victims;  // the very mask the attacking leaders use
     os.committee = committee_;
     os.config_summary = DescribeConfig(config_);
     oracle_ = std::make_unique<InvariantOracle>(sim_.get(), std::move(os));
@@ -244,45 +242,23 @@ void Experiment::Setup() {
     sim_->At(gst, [this]() { net_->NotifyGstReached(); });
   }
 
-  // kActDelay entries are realized as Network fault rules on the coalition's
-  // outbound traffic, installed/removed by barrier (kShardSerial) events at
-  // the entry's epoch boundaries. FaultRule delays are >= 0, so the
-  // lookahead horizon derived above stays valid for the whole run.
-  if (plan_.schedule && plan_.schedule->HasAction(kActDelay)) {
-    std::vector<bool> from(n, false);
-    for (ReplicaId r : plan_.members) from[r] = true;
-    const std::vector<bool> to(n, true);
-    for (const StrategyEntry& e : plan_.schedule->entries) {
-      if (!(e.actions & kActDelay)) continue;
-      const SimTime start =
-          static_cast<SimTime>(e.from_epoch) * plan_.schedule->epoch_length;
-      auto rule_id = std::make_shared<int>(-1);
-      sim_->At(start, [this, from, to, delay = e.delay, rule_id]() {
-        sim::FaultRule rule;
-        rule.from_match = from;
-        rule.to_match = to;
-        rule.extra_delay = delay;
-        *rule_id = net_->AddRule(std::move(rule));
-      });
-      if (e.to_epoch != kEpochForever) {
-        const SimTime end =
-            static_cast<SimTime>(e.to_epoch) * plan_.schedule->epoch_length;
-        sim_->At(end, [this, rule_id]() {
-          if (*rule_id >= 0) net_->RemoveRule(*rule_id);
-        });
-      }
-    }
-  }
-
-  // Environmental interference (partition / correlated regional outage / WAN
-  // jitter) realizes the same way: barrier events install FaultRules at the
-  // entry's start and remove them at its end (the heal time). All three only
-  // drop or add delay, so the lookahead horizon stays valid; none of them is
-  // coalition-bound — they model the network, not the adversary's replicas.
-  if (plan_.schedule &&
-      plan_.schedule->HasAction(kActPartition | kActOutage | kActJitter)) {
+  // Timed network faults realize as Network fault rules, installed by
+  // barrier (kShardSerial) events at an entry's first epoch and removed at
+  // its end (the heal time). Delay is the coalition's: extra one-way delay
+  // on its outbound traffic. Partition, correlated regional outage and WAN
+  // jitter are environmental: they model the network, not the adversary's
+  // replicas. All of them only drop or add delay, so the lookahead horizon
+  // derived above stays valid for the whole run.
+  if (plan_.schedule) {
     for (const StrategyEntry& e : plan_.schedule->entries) {
       std::vector<sim::FaultRule> rules;
+      if (e.actions & kActDelay) {
+        sim::FaultRule rule;
+        rule.from_match = *plan_.faulty_mask;
+        rule.to_match = std::vector<bool>(n, true);
+        rule.extra_delay = e.delay;
+        rules.push_back(std::move(rule));
+      }
       if (e.actions & kActPartition) {
         // One rule per group: drop everything it sends to the other groups.
         // Nodes in no group keep talking to everyone.
@@ -357,10 +333,11 @@ void Experiment::Setup() {
     replicas_.back()->SetOracle(oracle_.get());
     replicas_.back()->SetLivenessOracle(liveness_.get());
     const AdversarySpec spec = plan_.SpecFor(id);
-    if (spec.fault == Fault::kCrash) {
+    if (!spec.schedule) continue;
+    if (spec.schedule->HasAction(kActCrash)) {
       net_->Crash(id);
       replicas_.back()->SetCrashed();
-    } else if (spec.fault != Fault::kNone || spec.schedule) {
+    } else {
       replicas_.back()->SetAdversary(spec);
     }
   }

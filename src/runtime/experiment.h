@@ -90,15 +90,13 @@ struct ExperimentConfig {
   ArrivalConfig arrival;
   uint64_t seed = 1;
 
-  // Faults (Fig. 10).
-  Fault fault = Fault::kNone;
+  // The adversary (Fig. 10): replicas 1..num_faulty follow `strategy`, a
+  // per-epoch schedule (--strategy; grammar in runtime/adversary.h) — e.g.
+  // "0-:slow", "0-:tailfork", "0-:equivocate" (the rollback attack, which
+  // misleads `rollback_victims` correct replicas, clamped to f) or
+  // "0-:crash". epoch_length 0 is resolved to (f+1) * view_timer at setup.
   uint32_t num_faulty = 0;
   uint32_t rollback_victims = 0;
-
-  // Composable per-epoch adversary strategy for the coalition (--strategy;
-  // grammar in runtime/adversary.h). Generalizes the fixed Fault attacks:
-  // the same `num_faulty` replicas follow this schedule. epoch_length 0 is
-  // resolved to (f+1) * view_timer at setup.
   StrategySchedule strategy;
 
   // Epoch-based committee reconfiguration (--reconfig; grammar in

@@ -27,15 +27,18 @@ ExperimentConfig FuzzConfigFromSeed(uint64_t seed) {
   constexpr uint32_t kBatches[] = {10, 25, 50, 100};
   cfg.batch_size = kBatches[rng.NextBounded(4)];
 
-  constexpr Fault kFaults[] = {Fault::kNone, Fault::kCrash, Fault::kSlowLeader,
-                               Fault::kTailFork, Fault::kRollbackAttack};
-  cfg.fault = kFaults[rng.NextBounded(5)];
-  if (cfg.fault != Fault::kNone) {
+  // The coalition's behaviour for the whole run: honest, crashed, slow
+  // leaders (D6), tail-forking (D7) or the rollback campaign.
+  constexpr uint32_t kFaults[] = {kActNone, kActCrash, kActSlow, kActTailFork,
+                                  kActEquivocate};
+  const uint32_t fault = kFaults[rng.NextBounded(5)];
+  cfg.strategy = StrategySchedule::Always(fault);
+  if (fault != kActNone) {
     // Coalition ("collusion") size 1..f; Byzantine coalitions collude by
     // construction (AdversarySpec::collude).
     cfg.num_faulty = 1 + static_cast<uint32_t>(rng.NextBounded(std::max(f, 1u)));
   }
-  if (cfg.fault == Fault::kRollbackAttack) {
+  if (fault == kActEquivocate) {
     cfg.rollback_victims =
         1 + static_cast<uint32_t>(rng.NextBounded(std::max(f, 1u)));
   }
@@ -55,16 +58,15 @@ ExperimentConfig FuzzConfigFromSeed(uint64_t seed) {
   cfg.seed = seed;
   cfg.oracle_enabled = true;
 
-  // Half the Byzantine coalitions additionally follow a bounded strategy
-  // schedule. Crash coalitions are excluded (a crashed replica has no
+  // Half the Byzantine coalitions additionally follow a bounded second
+  // entry. Crash coalitions are excluded (a crashed replica has no
   // transport to script) and so is the equivocate primitive (it designates
-  // rollback victims, which these faults do not configure — the dedicated
-  // rollback tuples already cover equivocation). The entry is bounded so
+  // rollback victims, which the other faults do not configure — the
+  // equivocating tuples already cover it). The entry is bounded so
   // the auto-derived GST is finite and the liveness monitor arms; with the
   // coalition <= f the run must stay clean under BOTH oracles. Drawn last
   // so pre-existing seeds keep their (protocol, n, fault, ...) tuples.
-  if (cfg.fault != Fault::kNone && cfg.fault != Fault::kCrash &&
-      rng.NextBool(0.5)) {
+  if (fault != kActNone && fault != kActCrash && rng.NextBool(0.5)) {
     StrategyEntry entry;
     entry.from_epoch = static_cast<uint32_t>(rng.NextBounded(2));
     entry.to_epoch =
@@ -88,7 +90,7 @@ ExperimentConfig FuzzConfigFromSeed(uint64_t seed) {
   // designation and equivocation splits are defined against the static
   // committee, and mixing the two would fuzz an adversary the paper does not
   // model. Drawn after the strategy so pre-existing seeds keep their tuples.
-  if (cfg.fault != Fault::kRollbackAttack && rng.NextBool(0.25)) {
+  if (fault != kActEquivocate && rng.NextBool(0.25)) {
     const uint32_t min_k = std::max(4u, 3 * cfg.num_faulty + 1);
     if (min_k < cfg.n) {
       const uint32_t k =
@@ -136,7 +138,7 @@ OverThresholdCase OverThresholdCaseFromSeed(uint64_t seed) {
     cfg.protocol = kProtocols[seed % 5];
     cfg.num_faulty = f + 1 + static_cast<uint32_t>(rng.NextBounded(f));
     if (seed < 5) {
-      cfg.fault = Fault::kCrash;
+      cfg.strategy = StrategySchedule::Always(kActCrash);
       c.label = std::string(ProtocolName(cfg.protocol)) + " crash>f";
     } else {
       cfg.strategy.entries.push_back(
@@ -153,7 +155,7 @@ OverThresholdCase OverThresholdCaseFromSeed(uint64_t seed) {
     // attack — the safety oracle's commit-conflict lattice must fire while
     // the liveness oracle stays silent (commits keep flowing throughout).
     cfg.protocol = ProtocolKind::kHotStuff1;
-    cfg.fault = Fault::kRollbackAttack;
+    cfg.strategy = StrategySchedule::Always(kActEquivocate);
     cfg.num_faulty = f;
     cfg.rollback_victims = f;
     cfg.duration = Millis(400);

@@ -16,12 +16,13 @@ namespace hotstuff1 {
 
 /// Derives one arbitrary-but-reproducible oracle-enabled configuration from
 /// `seed`. Committee sizes span 4..128 (multi-word quorums included, weighted
-/// toward small committees so a fuzz sweep stays cheap); faults cover every
-/// Fault kind with a randomized coalition size <= f and randomized rollback
+/// toward small committees so a fuzz sweep stays cheap); the coalition is
+/// honest, crashed, slow, tail-forking or equivocating for the whole run
+/// ("0-:<action>"), with a randomized size <= f and randomized rollback
 /// victim count; the executor axes (sim_jobs, lookahead) are drawn too, so
 /// the oracle's shard-safe bookkeeping is exercised under every scheduler.
-/// Byzantine coalitions additionally draw a bounded per-epoch strategy
-/// schedule (withhold / delay / target-leader) on half the seeds — within
+/// Byzantine coalitions additionally draw a bounded second schedule entry
+/// (withhold / delay / target-leader) on half the seeds — within
 /// the f threshold every such run must still be safety- AND liveness-clean.
 ExperimentConfig FuzzConfigFromSeed(uint64_t seed);
 

@@ -45,7 +45,8 @@ class LivenessOracle {
     uint32_t n = 0;
     std::shared_ptr<const std::vector<bool>> faulty_mask;  // null = all correct
     /// Virtual time at which the network is promised to stabilize. 0 arms
-    /// the monitor from the start (synchronous run / legacy fixed faults);
+    /// the monitor from the start (synchronous run, or a schedule with no
+    /// interference such as "0-:slow");
     /// StrategySchedule::kGstNever (open-ended interference with no declared
     /// GST) leaves the monitor inert — nothing was promised, so nothing can
     /// be violated.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "runtime/adversary.h"
 
 namespace hotstuff1 {
 
@@ -13,16 +12,6 @@ InvariantOracle::InvariantOracle(sim::Simulator* sim, Setup setup)
   const Hash256 genesis = Block::Genesis()->hash();
   for (ReplicaState& st : replicas_) st.committed_hash = genesis;
   height_of_[genesis] = 0;
-
-  // Same designation the attacking leader uses to split its equivocating
-  // proposals — one helper, consumed by both sides (RollbackVictimMask).
-  const bool equivocates =
-      setup_.fault == Fault::kRollbackAttack ||
-      (setup_.schedule && setup_.schedule->HasAction(kActEquivocate));
-  victim_mask_ = equivocates
-                     ? RollbackVictimMask(setup_.n, setup_.faulty_mask.get(),
-                                          setup_.rollback_victims)
-                     : std::vector<bool>(setup_.n, false);
   misled_views_.resize(setup_.n);
 }
 
@@ -204,12 +193,13 @@ void InvariantOracle::OnRollback(ReplicaId replica, uint64_t blocks_rolled_back,
                              " speculative block(s) at conflicting view " +
                              std::to_string(conflict_view) + " ";
   if (!IsRollbackVictim(replica)) {
+    const bool any_victim =
+        setup_.victims &&
+        std::find(setup_.victims->begin(), setup_.victims->end(), true) !=
+            setup_.victims->end();
     Report("unexpected-rollback",
-           prefix + (victim_mask_.empty() ||
-                             std::find(victim_mask_.begin(), victim_mask_.end(),
-                                       true) == victim_mask_.end()
-                         ? "without an equivocation attack in the configuration"
-                         : "but is not a designated victim"));
+           prefix + (any_victim ? "but is not a designated victim"
+                                : "without an equivocation attack in the configuration"));
     return;
   }
   // Def. 4.7 legality: the rollback must be justified by an outstanding

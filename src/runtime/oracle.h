@@ -18,8 +18,9 @@
 //   * client-accept     - a block a client accepted (speculatively or
 //                         committed, Cor. B.10) never conflicts with the
 //                         committed lattice;
-//   * unexpected-rollback - rollbacks (Def. 4.7) only occur under
-//                         kRollbackAttack and only at designated victims;
+//   * unexpected-rollback - rollbacks (Def. 4.7) only occur under an
+//                         equivocating schedule and only at designated
+//                         victims;
 //   * view-monotonic    - views entered by a correct replica strictly
 //                         increase; formed certificates rank monotonically.
 //
@@ -50,7 +51,6 @@
 
 #include "consensus/certificate.h"
 #include "consensus/committee.h"
-#include "consensus/config.h"
 #include "ledger/block.h"
 #include "sim/simulator.h"
 
@@ -64,12 +64,11 @@ class InvariantOracle {
   /// as victims, and the (config, seed) pair for diagnostics.
   struct Setup {
     uint32_t n = 0;
-    Fault fault = Fault::kNone;
-    uint32_t rollback_victims = 0;
     std::shared_ptr<const std::vector<bool>> faulty_mask;  // null = all correct
-    /// Resolved strategy schedule, when the run uses one; an equivocate
-    /// entry designates rollback victims exactly like kRollbackAttack.
-    std::shared_ptr<const StrategySchedule> schedule;
+    /// The designated §7.3 victims (AdversaryPlan::victims): the very mask
+    /// the equivocating leaders split their proposals across, so the two
+    /// sides cannot drift. Null when the schedule never equivocates.
+    std::shared_ptr<const std::vector<bool>> victims;
     /// Resolved committee schedule, when the run reconfigures (null =
     /// static). The committed-block lattice is keyed by chain height and
     /// deliberately NOT reset at membership changes: Theorem B.5 agreement
@@ -116,6 +115,9 @@ class InvariantOracle {
   }
   /// Total events observed; tests use this to prove the plumbing is live.
   uint64_t events_observed() const { return events_; }
+  /// The designated victim set rollbacks are judged against (null when the
+  /// run misleads nobody).
+  const std::vector<bool>* victims() const { return setup_.victims.get(); }
 
   static constexpr size_t kMaxStoredViolations = 16;
 
@@ -125,7 +127,7 @@ class InvariantOracle {
            (*setup_.faulty_mask)[r];
   }
   bool IsRollbackVictim(ReplicaId r) const {
-    return r < victim_mask_.size() && victim_mask_[r];
+    return setup_.victims && r < setup_.victims->size() && (*setup_.victims)[r];
   }
   /// Pacemaker epoch of a view (f+1 consecutive views per epoch; the
   /// committee schedule, when present, carries the same resolved geometry).
@@ -167,7 +169,6 @@ class InvariantOracle {
 
   sim::Simulator* sim_;
   Setup setup_;
-  std::vector<bool> victim_mask_;
   /// Outstanding misleading-campaign views per victim, appended by
   /// OnEquivocationSent and consumed (oldest matching first) when the
   /// victim's rollback uses them as its Def. 4.7 justification.

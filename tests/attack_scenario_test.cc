@@ -10,6 +10,7 @@
 #include "client/client_pool.h"
 #include "core/speculation.h"
 #include "runtime/experiment.h"
+#include "tests/result_equality.h"
 #include "workload/ycsb.h"
 
 namespace hotstuff1 {
@@ -145,7 +146,8 @@ TEST_F(PrefixDilemmaTest, NoGapRuleBlocksStaleCertificateSpeculation) {
 // End-to-end fault experiments.
 // ---------------------------------------------------------------------------
 
-ExperimentConfig FaultConfig(ProtocolKind kind, Fault fault, uint32_t count) {
+// `count` faulty replicas doing `behaviour` ("0-:<action>") throughout.
+ExperimentConfig FaultConfig(ProtocolKind kind, uint32_t behaviour, uint32_t count) {
   ExperimentConfig cfg;
   cfg.protocol = kind;
   cfg.n = 7;  // f = 2
@@ -154,7 +156,7 @@ ExperimentConfig FaultConfig(ProtocolKind kind, Fault fault, uint32_t count) {
   cfg.warmup = Millis(150);
   cfg.num_clients = 150;
   cfg.view_timer = Millis(10);
-  cfg.fault = fault;
+  cfg.strategy = StrategySchedule::Always(behaviour);
   cfg.num_faulty = count;
   cfg.seed = 5;
   cfg.track_accepted = true;
@@ -181,25 +183,25 @@ void ExpectClientSafety(Experiment& exp, SimTime grace) {
 
 TEST(LeaderSlownessTest, DegradesStreamlinedProtocols) {
   const auto honest =
-      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, Fault::kNone, 0));
+      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, kActNone, 0));
   const auto slow =
-      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, Fault::kSlowLeader, 2));
+      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, kActSlow, 2));
   EXPECT_TRUE(slow.safety_ok);
   EXPECT_LT(slow.throughput_tps, honest.throughput_tps * 0.8);
 }
 
 TEST(LeaderSlownessTest, SlottingResists) {
   const auto honest = RunExperiment(
-      FaultConfig(ProtocolKind::kHotStuff1Slotted, Fault::kNone, 0));
+      FaultConfig(ProtocolKind::kHotStuff1Slotted, kActNone, 0));
   const auto slow = RunExperiment(
-      FaultConfig(ProtocolKind::kHotStuff1Slotted, Fault::kSlowLeader, 2));
+      FaultConfig(ProtocolKind::kHotStuff1Slotted, kActSlow, 2));
   EXPECT_TRUE(slow.safety_ok);
   // §7.3: slotting bounds the damage to a few percent.
   EXPECT_GT(slow.throughput_tps, honest.throughput_tps * 0.85);
 }
 
 TEST(TailForkTest, OrphansPreviousProposalInStreamlined) {
-  Experiment exp(FaultConfig(ProtocolKind::kHotStuff1, Fault::kTailFork, 2));
+  Experiment exp(FaultConfig(ProtocolKind::kHotStuff1, kActTailFork, 2));
   const auto res = exp.Run();
   EXPECT_TRUE(res.safety_ok);
   // Tail-forked blocks never commit; their transactions get resubmitted.
@@ -209,13 +211,13 @@ TEST(TailForkTest, OrphansPreviousProposalInStreamlined) {
 
 TEST(TailForkTest, ThroughputDropExceedsSlotted) {
   const auto honest =
-      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, Fault::kNone, 0));
+      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, kActNone, 0));
   const auto forked =
-      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, Fault::kTailFork, 2));
+      RunExperiment(FaultConfig(ProtocolKind::kHotStuff1, kActTailFork, 2));
   const auto honest_slot = RunExperiment(
-      FaultConfig(ProtocolKind::kHotStuff1Slotted, Fault::kNone, 0));
+      FaultConfig(ProtocolKind::kHotStuff1Slotted, kActNone, 0));
   const auto forked_slot = RunExperiment(
-      FaultConfig(ProtocolKind::kHotStuff1Slotted, Fault::kTailFork, 2));
+      FaultConfig(ProtocolKind::kHotStuff1Slotted, kActTailFork, 2));
   const double drop_plain = forked.throughput_tps / honest.throughput_tps;
   const double drop_slot = forked_slot.throughput_tps / honest_slot.throughput_tps;
   EXPECT_LT(drop_plain, 0.95);       // visible damage
@@ -224,8 +226,8 @@ TEST(TailForkTest, ThroughputDropExceedsSlotted) {
 
 TEST(TailForkTest, BaselinesAlsoSuffer) {
   for (auto kind : {ProtocolKind::kHotStuff, ProtocolKind::kHotStuff2}) {
-    const auto honest = RunExperiment(FaultConfig(kind, Fault::kNone, 0));
-    const auto forked = RunExperiment(FaultConfig(kind, Fault::kTailFork, 2));
+    const auto honest = RunExperiment(FaultConfig(kind, kActNone, 0));
+    const auto forked = RunExperiment(FaultConfig(kind, kActTailFork, 2));
     EXPECT_TRUE(forked.safety_ok);
     EXPECT_LT(forked.throughput_tps, honest.throughput_tps);
   }
@@ -233,7 +235,7 @@ TEST(TailForkTest, BaselinesAlsoSuffer) {
 
 TEST(RollbackAttackTest, ForcesRollbacksOnVictims) {
   ExperimentConfig cfg =
-      FaultConfig(ProtocolKind::kHotStuff1, Fault::kRollbackAttack, 2);
+      FaultConfig(ProtocolKind::kHotStuff1, kActEquivocate, 2);
   cfg.rollback_victims = 2;  // up to f correct replicas misled per attack
   Experiment exp(cfg);
   const auto res = exp.Run();
@@ -245,7 +247,7 @@ TEST(RollbackAttackTest, ForcesRollbacksOnVictims) {
 
 TEST(RollbackAttackTest, GlobalLedgerNeverRollsBack) {
   ExperimentConfig cfg =
-      FaultConfig(ProtocolKind::kHotStuff1, Fault::kRollbackAttack, 2);
+      FaultConfig(ProtocolKind::kHotStuff1, kActEquivocate, 2);
   cfg.rollback_victims = 2;
   Experiment exp(cfg);
   exp.Run();
@@ -255,7 +257,7 @@ TEST(RollbackAttackTest, GlobalLedgerNeverRollsBack) {
 
 TEST(RollbackAttackTest, SlottingConfinesTheAttack) {
   ExperimentConfig plain =
-      FaultConfig(ProtocolKind::kHotStuff1, Fault::kRollbackAttack, 2);
+      FaultConfig(ProtocolKind::kHotStuff1, kActEquivocate, 2);
   plain.rollback_victims = 2;
   ExperimentConfig slotted = plain;
   slotted.protocol = ProtocolKind::kHotStuff1Slotted;
@@ -267,12 +269,45 @@ TEST(RollbackAttackTest, SlottingConfinesTheAttack) {
   EXPECT_LE(rs.rollback_events, rp.rollback_events);
 }
 
+// The cores ask the schedule when they decide, not a per-run flag: a
+// behaviour whose entry starts after the run ends leaves every result as in
+// the run with no schedule, while the same behaviour from epoch 0 changes
+// it. A core that ignores a word by design (basic: tailfork, slotted: slow)
+// is only held to the first half.
+TEST(ScheduledBehaviourTest, OnlyLiveEntriesChangeTheRun) {
+  struct Case {
+    ProtocolKind kind;
+    const char* word;
+    bool ignored;
+  };
+  for (const Case& c : {Case{ProtocolKind::kHotStuff1, "slow", false},
+                        Case{ProtocolKind::kHotStuff1, "tailfork", false},
+                        Case{ProtocolKind::kHotStuff, "slow", false},
+                        Case{ProtocolKind::kHotStuff1Basic, "slow", false},
+                        Case{ProtocolKind::kHotStuff1Basic, "tailfork", true},
+                        Case{ProtocolKind::kHotStuff1Slotted, "slow", true},
+                        Case{ProtocolKind::kHotStuff1Slotted, "tailfork", false}}) {
+    SCOPED_TRACE(std::string(ProtocolName(c.kind)) + " " + c.word);
+    const ExperimentConfig none = FaultConfig(c.kind, kActNone, 2);
+    ExperimentConfig late = none;
+    ExperimentConfig live = none;
+    ASSERT_TRUE(ParseStrategySchedule(std::string("1000-:") + c.word, &late.strategy));
+    ASSERT_TRUE(ParseStrategySchedule(std::string("0-:") + c.word, &live.strategy));
+    const ExperimentResult base = RunExperiment(none);
+    ExpectSameResult(RunExperiment(late), base);
+    if (c.ignored) continue;
+    const ExperimentResult hit = RunExperiment(live);
+    EXPECT_TRUE(hit.safety_ok);
+    EXPECT_NE(hit.messages_sent, base.messages_sent);
+  }
+}
+
 TEST(ImpersonationTest, ForgedSenderIsIgnored) {
   // Channel authentication: a message whose claimed sender differs from its
   // wire origin is dropped, so a faulty replica cannot impersonate the
   // leader. We inject a forged proposal and check the system's chain is
   // unaffected (still only honest-leader blocks).
-  ExperimentConfig cfg = FaultConfig(ProtocolKind::kHotStuff1, Fault::kNone, 0);
+  ExperimentConfig cfg = FaultConfig(ProtocolKind::kHotStuff1, kActNone, 0);
   cfg.duration = Millis(300);
   Experiment exp(cfg);
   exp.Setup();

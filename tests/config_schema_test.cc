@@ -36,8 +36,10 @@ Cases CasesFor(const Knob& k) {
   const std::vector<std::string> junk = {"+5", " 5", "5 ", "abc", "-1"};
   Cases c;
   if (k.name == "strategy") {
-    c = {{"0-3:withhold;gst=120000", "0-:equivocate", "1-3:partition=0-3|4-7"},
-         {"5-3:withhold", "0:jam", "0:delay=+5", "0:delay=99999999999999999999"}};
+    c = {{"0-3:withhold;gst=120000", "0-:equivocate", "1-3:partition=0-3|4-7", "0-:slow",
+          "0-:tailfork;1-3:withhold", "0-:crash"},
+         {"5-3:withhold", "0:jam", "0:delay=+5", "0:delay=99999999999999999999", "2-:crash",
+          "0:outage=0-9000000000"}};
   } else if (k.name == "reconfig") {
     c = {{"0:0-15;4:0-11", "0:0-3+8-19"}, {"0:0-2", "4:0-7", "0:0-7;0:0-7", "0:+0-7"}};
   } else if (s == "auto|off|<us>") {
@@ -175,6 +177,23 @@ TEST(CommandLineTest, PostParseStepIgnoresFlagOrder) {
   EXPECT_NE(error.find("--reconfig"), std::string::npos) << error;
 }
 
+TEST(CommandLineTest, StrategyMustFitTheRun) {
+  // A partition naming replicas past --n, or an outage of a region the
+  // topology lacks, used to parse and then change nothing at all.
+  std::string error;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--n=16", "--strategy=0-3:partition=0-7|40-50"},
+        std::vector<std::string>{"--n=16", "--strategy=0-3:outage=4"},
+        std::vector<std::string>{"--n=16", "--regions=3", "--strategy=0:outage=3"}}) {
+    CommandLine cl = Parse(args, &error);
+    EXPECT_FALSE(ResolveSinglePoint(&cl, &error)) << args.back();
+    EXPECT_NE(error.find("--strategy"), std::string::npos) << error;
+  }
+  CommandLine fits = Parse({"--n=16", "--regions=3", "--strategy=0:outage=2;"
+                            "1:partition=0-7|8-15"}, &error);
+  EXPECT_TRUE(ResolveSinglePoint(&fits, &error)) << error;
+}
+
 // Parses a DescribeConfig line back through the real command-line parser
 // (single quotes are the shell quoting DescribeConfig adds).
 ExperimentConfig Reparse(const std::string& repro) {
@@ -205,7 +224,6 @@ void ExpectSameConfig(const ExperimentConfig& a, const ExperimentConfig& b) {
   EXPECT_EQ(a.arrival.kind, b.arrival.kind);
   EXPECT_EQ(a.arrival.offered_load_tps, b.arrival.offered_load_tps);
   EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.fault, b.fault);
   EXPECT_EQ(a.num_faulty, b.num_faulty);
   EXPECT_EQ(a.rollback_victims, b.rollback_victims);
   EXPECT_EQ(a.strategy, b.strategy);

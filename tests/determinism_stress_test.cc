@@ -43,9 +43,9 @@ ExperimentConfig ConfigFromSeed(uint64_t seed) {
   constexpr uint32_t kBatches[] = {10, 50, 100};
   cfg.batch_size = kBatches[rng.NextBounded(3)];
 
-  constexpr Fault kFaults[] = {Fault::kNone, Fault::kCrash, Fault::kTailFork};
-  cfg.fault = kFaults[rng.NextBounded(3)];
-  if (cfg.fault != Fault::kNone) {
+  constexpr uint32_t kFaults[] = {kActNone, kActCrash, kActTailFork};
+  cfg.strategy = StrategySchedule::Always(kFaults[rng.NextBounded(3)]);
+  if (!cfg.strategy.empty()) {
     const uint32_t f = (cfg.n - 1) / 3;
     cfg.num_faulty = 1 + static_cast<uint32_t>(rng.NextBounded(std::max(f, 1u)));
   }
@@ -127,7 +127,7 @@ TEST_P(DeterminismStress, RandomConfigIsByteIdenticalAcrossExecutors) {
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << GetParam() << " n=" << cfg.n << " protocol="
                    << serial.protocol << " batch=" << cfg.batch_size
-                   << " fault=" << static_cast<int>(cfg.fault)
+                   << " strategy=" << FormatStrategySchedule(cfg.strategy)
                    << " sim_jobs=" << sim_jobs
                    << " lookahead=" << FormatLookahead(cfg.lookahead));
       ExpectSameResult(RunExperiment(cfg), serial);

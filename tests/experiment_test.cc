@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "runtime/experiment.h"
+#include "runtime/oracle.h"
 #include "runtime/report.h"
 
 namespace hotstuff1 {
@@ -102,7 +103,7 @@ TEST(ExperimentTest, ImpairmentAppliedToLastReplicas) {
 
 TEST(ExperimentTest, CrashFaultMarksReplicas) {
   ExperimentConfig cfg = Tiny();
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 1;
   cfg.view_timer = Millis(6);
   cfg.delta = Millis(1);
@@ -114,17 +115,37 @@ TEST(ExperimentTest, CrashFaultMarksReplicas) {
 }
 
 TEST(ExperimentTest, AdversaryPlanPlacement) {
-  AdversaryPlan plan = MakeAdversaryPlan(7, Fault::kTailFork, 2, 3);
-  EXPECT_EQ(plan.members, (std::vector<ReplicaId>{1, 2}));
-  EXPECT_FALSE((*plan.faulty_mask)[0]);  // observer stays honest
-  EXPECT_TRUE((*plan.faulty_mask)[1]);
+  StrategySchedule tailfork = StrategySchedule::Always(kActTailFork);
+  tailfork.epoch_length = Millis(10);
+  AdversaryPlan plan = MakeAdversaryPlan(7, 2, 3, tailfork);
+  // Ids 1..2; the observer, id 0, stays honest.
+  EXPECT_EQ(*plan.faulty_mask,
+            (std::vector<bool>{false, true, true, false, false, false, false}));
   const AdversarySpec honest = plan.SpecFor(0);
-  EXPECT_EQ(honest.fault, Fault::kNone);
+  EXPECT_EQ(honest.schedule, nullptr);
   const AdversarySpec bad = plan.SpecFor(2);
-  EXPECT_EQ(bad.fault, Fault::kTailFork);
+  EXPECT_TRUE(bad.TailForks(0));
   EXPECT_TRUE(bad.collude);
-  // Requested 3 victims, but |S| <= f = 2 (see MakeAdversaryPlan): clamped.
-  EXPECT_EQ(bad.rollback_victims, 2u);
+  // A tail-forking schedule misleads nobody: victims are only designated
+  // when the coalition equivocates.
+  EXPECT_EQ(bad.victims, nullptr);
+}
+
+TEST(ExperimentTest, SpecsAndOracleShareOneVictimMask) {
+  ExperimentConfig cfg = Tiny();
+  cfg.n = 7;
+  cfg.strategy = StrategySchedule::Always(kActEquivocate);
+  cfg.num_faulty = 2;
+  cfg.rollback_victims = 3;  // clamped to f = 2
+  cfg.oracle_enabled = true;
+  Experiment exp(cfg);
+  exp.Setup();
+  const std::vector<bool>* victims = exp.replicas()[1]->adversary().victims.get();
+  ASSERT_NE(victims, nullptr);
+  EXPECT_EQ(*victims,
+            (std::vector<bool>{true, false, false, true, false, false, false}));
+  EXPECT_EQ(exp.replicas()[2]->adversary().victims.get(), victims);
+  EXPECT_EQ(exp.oracle()->victims(), victims);
 }
 
 TEST(ExperimentTest, SafetyCheckerDetectsForgedDivergence) {

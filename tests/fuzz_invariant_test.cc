@@ -58,7 +58,7 @@ ExperimentConfig MutationConfig() {
   cfg.duration = Millis(400);
   cfg.warmup = Millis(100);
   cfg.num_clients = 80;
-  cfg.fault = Fault::kRollbackAttack;
+  cfg.strategy = StrategySchedule::Always(kActEquivocate);
   cfg.num_faulty = 2;
   cfg.rollback_victims = 2;
   cfg.seed = 3;

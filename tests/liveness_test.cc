@@ -6,8 +6,8 @@
 //   * Rollback legality (Def. 4.7): a victim rollback must be justified by an
 //     outstanding misleading campaign no more than two epochs older than the
 //     conflicting view. The stale-epoch case is a regression test — before
-//     the campaign records existed, ANY victim rollback under kRollbackAttack
-//     passed, including ones no live campaign could explain.
+//     the campaign records existed, ANY victim rollback under the rollback
+//     attack passed, including ones no live campaign could explain.
 //   * Mutation self-test: the test_break_liveness hook breaks pacemaker epoch
 //     synchronization; only the progress monitor can see the resulting stall
 //     (the safety oracle stays silent — nothing unsafe ever happens).
@@ -183,8 +183,9 @@ TEST(LivenessOracleTest, DiagnosticsCarryConfigAndSeed) {
 InvariantOracle::Setup RollbackSetup() {
   InvariantOracle::Setup setup;
   setup.n = 7;  // f = 2: epochs are 3 views wide
-  setup.fault = Fault::kRollbackAttack;
-  setup.rollback_victims = 1;  // victim = replica 0 (first correct id)
+  // The only victim is replica 0, the first correct id.
+  setup.victims = std::make_shared<const std::vector<bool>>(
+      std::vector<bool>{true, false, false, false, false, false, false});
   setup.config_summary = "--n=7 --seed=5";
   return setup;
 }
@@ -199,7 +200,7 @@ TEST(RollbackLegalityTest, CampaignJustifiesAVictimRollback) {
 
 TEST(RollbackLegalityTest, StaleEpochCampaignNoLongerJustifies) {
   // Regression: before the per-victim campaign records, ANY rollback at a
-  // designated victim passed under kRollbackAttack — including one whose
+  // designated victim passed under the rollback attack — including one whose
   // only outstanding campaign was planted many epochs earlier and could not
   // explain the conflict (Def. 4.7 bounds the misleading window).
   Simulator sim;

@@ -236,7 +236,7 @@ TEST(ParallelExperimentTest, ByteIdenticalAcrossLookahead) {
 
 TEST(ParallelExperimentTest, ByteIdenticalUnderFaultsAndGeo) {
   ExperimentConfig cfg = SmallConfig(ProtocolKind::kHotStuff1);
-  cfg.fault = Fault::kTailFork;
+  cfg.strategy = StrategySchedule::Always(kActTailFork);
   cfg.num_faulty = 5;
   cfg.topology = sim::Topology::Geo(cfg.n, 3);
   cfg.view_timer = Millis(1200);

@@ -76,7 +76,7 @@ TEST(BasicHotStuff1Test, HighPrepareAdvances) {
 
 TEST(BasicHotStuff1Test, SurvivesCrashedLeader) {
   ExperimentConfig cfg = BasicConfig(4);
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 1;
   cfg.view_timer = Millis(5);
   cfg.delta = Millis(1);
@@ -91,7 +91,7 @@ TEST(BasicHotStuff1Test, SlowLeaderHurtsLatency) {
   ExperimentConfig cfg = BasicConfig(4);
   cfg.num_clients = 16;
   ExperimentConfig slow = cfg;
-  slow.fault = Fault::kSlowLeader;
+  slow.strategy = StrategySchedule::Always(kActSlow);
   slow.num_faulty = 1;
   slow.view_timer = Millis(20);
   const auto fast_res = RunExperiment(cfg);

@@ -89,7 +89,7 @@ class CrashFaultTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(CrashFaultTest, LivenessWithFCrashes) {
   ExperimentConfig cfg = BaseConfig(GetParam(), 7);  // f = 2
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 2;
   cfg.duration = Millis(600);
   // The view timer must exceed ShareTimer = 3Δ plus a proposal round trip,
@@ -106,7 +106,7 @@ TEST_P(CrashFaultTest, NoProgressBeyondFCrashes) {
   // With f+1 crashes no quorum can form: liveness is lost (but nothing
   // crashes or misbehaves).
   ExperimentConfig cfg = BaseConfig(GetParam(), 4);  // f = 1
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 2;  // > f
   cfg.duration = Millis(300);
   const auto res = RunExperiment(cfg);

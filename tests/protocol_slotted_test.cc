@@ -129,7 +129,7 @@ TEST(SlottedTest, TrustedLeaderFastPathReducesFirstSlotDelay) {
 
 TEST(SlottedTest, SurvivesCrashedLeaders) {
   ExperimentConfig cfg = SlottedConfig(7);
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 2;
   cfg.duration = Millis(800);
   const auto res = RunExperiment(cfg);

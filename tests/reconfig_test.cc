@@ -73,6 +73,8 @@ TEST(CommitteeScheduleTest, RejectsMalformedInput) {
         "0:+0-3",         // sign prefix
         "0: 0-3",         // whitespace
         "x:0-3",          // non-numeric epoch
+        "0:0-999999999",  // id past the quorum bitset: bounded before expanding
+        "0:0-3+512",
         "0:"}) {          // empty committee
     std::string error;
     EXPECT_FALSE(ParseCommitteeSchedule(bad, &s, &error)) << bad;

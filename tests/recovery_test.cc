@@ -71,7 +71,7 @@ TEST(RecoveryTest, ProgressDespiteLossyNetwork) {
 
 TEST(RecoveryTest, CrashedLeaderViewsAreSkipped) {
   ExperimentConfig cfg = Base(ProtocolKind::kHotStuff2, 4);
-  cfg.fault = Fault::kCrash;
+  cfg.strategy = StrategySchedule::Always(kActCrash);
   cfg.num_faulty = 1;  // replica 1 crashes; it leads every 4th view
   cfg.duration = Millis(600);
   Experiment exp(cfg);
@@ -105,7 +105,7 @@ TEST(RecoveryTest, DelayedCertificatesCommitViaPrefixRule) {
   // certificate a replica missed still commit once a descendant's
   // certificate chain arrives; no block is permanently stuck.
   ExperimentConfig cfg = Base(ProtocolKind::kHotStuff1, 7);
-  cfg.fault = Fault::kTailFork;
+  cfg.strategy = StrategySchedule::Always(kActTailFork);
   cfg.num_faulty = 2;
   cfg.duration = Millis(800);
   cfg.track_accepted = true;

@@ -145,7 +145,7 @@ TEST(EquivocationTest, OnlyOneBranchCertifies) {
   cfg.num_clients = 100;
   cfg.view_timer = Millis(8);
   cfg.delta = Millis(1);
-  cfg.fault = Fault::kRollbackAttack;  // conceal + equivocate
+  cfg.strategy = StrategySchedule::Always(kActEquivocate);  // conceal + equivocate
   cfg.num_faulty = 2;
   cfg.rollback_victims = 2;
   cfg.seed = 31;

@@ -12,7 +12,9 @@
 namespace hotstuff1 {
 namespace {
 
-using SweepParam = std::tuple<ProtocolKind, Fault, uint64_t /*seed*/>;
+// The fault is the coalition's behaviour for the whole run: a strategy
+// action, i.e. the schedule "0-:<action>" (kActNone = no fault).
+using SweepParam = std::tuple<ProtocolKind, uint32_t /*fault*/, uint64_t /*seed*/>;
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto [kind, fault, seed] = info.param;
@@ -25,11 +27,11 @@ std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
     case ProtocolKind::kHotStuff1Slotted: name = "Slotted"; break;
   }
   switch (fault) {
-    case Fault::kNone: name += "_NoFault"; break;
-    case Fault::kCrash: name += "_Crash"; break;
-    case Fault::kSlowLeader: name += "_Slow"; break;
-    case Fault::kTailFork: name += "_TailFork"; break;
-    case Fault::kRollbackAttack: name += "_Rollback"; break;
+    case kActNone: name += "_NoFault"; break;
+    case kActCrash: name += "_Crash"; break;
+    case kActSlow: name += "_Slow"; break;
+    case kActTailFork: name += "_TailFork"; break;
+    case kActEquivocate: name += "_Rollback"; break;
   }
   return name + "_s" + std::to_string(seed);
 }
@@ -46,8 +48,8 @@ TEST_P(SafetySweep, SafetyAndClientSafetyHold) {
   cfg.warmup = Millis(100);
   cfg.num_clients = 120;
   cfg.view_timer = Millis(8);
-  cfg.fault = fault;
-  cfg.num_faulty = fault == Fault::kNone ? 0 : 2;
+  cfg.strategy = StrategySchedule::Always(fault);
+  cfg.num_faulty = fault == kActNone ? 0 : 2;
   cfg.rollback_victims = 2;
   cfg.seed = seed;
   cfg.track_accepted = true;
@@ -84,7 +86,7 @@ TEST_P(SafetySweep, SafetyAndClientSafetyHold) {
   // re-executed states.
   size_t min_len = SIZE_MAX;
   for (uint32_t id = 0; id < cfg.n; ++id) {
-    if (id >= 1 && id <= cfg.num_faulty && fault != Fault::kNone) continue;
+    if (id >= 1 && id <= cfg.num_faulty && fault != kActNone) continue;
     min_len = std::min(min_len,
                        exp.replicas()[id]->ledger().committed_chain().size());
   }
@@ -92,7 +94,7 @@ TEST_P(SafetySweep, SafetyAndClientSafetyHold) {
   uint64_t reference_fp = 0;
   bool first = true;
   for (uint32_t id = 0; id < cfg.n; ++id) {
-    if (id >= 1 && id <= cfg.num_faulty && fault != Fault::kNone) continue;
+    if (id >= 1 && id <= cfg.num_faulty && fault != kActNone) continue;
     KvState kv;
     const auto& chain = exp.replicas()[id]->ledger().committed_chain();
     for (size_t h = 1; h < min_len; ++h) {
@@ -113,21 +115,21 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ProtocolKind::kHotStuff, ProtocolKind::kHotStuff2,
                           ProtocolKind::kHotStuff1Basic, ProtocolKind::kHotStuff1,
                           ProtocolKind::kHotStuff1Slotted),
-        ::testing::Values(Fault::kNone, Fault::kCrash, Fault::kSlowLeader,
-                          Fault::kTailFork, Fault::kRollbackAttack),
+        ::testing::Values(kActNone, kActCrash, kActSlow, kActTailFork,
+                          kActEquivocate),
         ::testing::Values(1u, 2u, 3u)),
     ParamName);
 
 // Large committees: the same invariants with quorum math above one 64-bit
 // word (n = 96: quorum 65 is the first threshold past a word; n = 128
 // matches the committee sizes of the HotStuff / Narwhal evaluations).
-using LargeParam = std::tuple<uint32_t /*n*/, ProtocolKind, Fault>;
+using LargeParam = std::tuple<uint32_t /*n*/, ProtocolKind, uint32_t /*fault*/>;
 
 std::string LargeParamName(const ::testing::TestParamInfo<LargeParam>& info) {
   const auto [n, kind, fault] = info.param;
   std::string name = "n" + std::to_string(n);
   name += kind == ProtocolKind::kHotStuff ? "_HotStuff" : "_HS1";
-  name += fault == Fault::kNone ? "_NoFault" : "_Crash";
+  name += fault == kActNone ? "_NoFault" : "_Crash";
   return name;
 }
 
@@ -142,12 +144,12 @@ TEST_P(LargeCommitteeSweep, SafetyAndClientSafetyAboveOneWord) {
   // With the full f crashed, a third of all views burn their 10ms timer
   // before an honest leader commits; the window must cover enough honest
   // stretches to show liveness.
-  cfg.duration = fault == Fault::kNone ? Millis(300) : Millis(600);
-  cfg.warmup = fault == Fault::kNone ? Millis(100) : Millis(200);
+  cfg.duration = fault == kActNone ? Millis(300) : Millis(600);
+  cfg.warmup = fault == kActNone ? Millis(100) : Millis(200);
   cfg.num_clients = 200;
   cfg.view_timer = Millis(10);
-  cfg.fault = fault;
-  cfg.num_faulty = fault == Fault::kNone ? 0 : (n - 1) / 3;  // full f crashes
+  cfg.strategy = StrategySchedule::Always(fault);
+  cfg.num_faulty = fault == kActNone ? 0 : (n - 1) / 3;  // full f crashes
   cfg.seed = 5;
   cfg.track_accepted = true;
 
@@ -159,7 +161,7 @@ TEST_P(LargeCommitteeSweep, SafetyAndClientSafetyAboveOneWord) {
   EXPECT_GT(res.accepted, 20u);
   // The speculative path really exercises the n-f client quorum (> 64
   // matching responses per acceptance for these committees).
-  if (IsSpeculative(kind) && fault == Fault::kNone) {
+  if (IsSpeculative(kind) && fault == kActNone) {
     EXPECT_GT(res.accepted_speculative, 0u);
   }
 
@@ -168,7 +170,7 @@ TEST_P(LargeCommitteeSweep, SafetyAndClientSafetyAboveOneWord) {
   // consecutive crashed leaders burn ~f view timers before the commit that
   // confirms a late speculative acceptance.
   const SimTime tail =
-      fault == Fault::kNone ? Millis(150)
+      fault == kActNone ? Millis(150)
                             : Millis(100) + cfg.num_faulty * cfg.view_timer;
   const SimTime cutoff = cfg.warmup + cfg.duration - tail;
   for (const auto& rec : exp.clients().accepted_records()) {
@@ -191,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(96u, 128u),
                        ::testing::Values(ProtocolKind::kHotStuff,
                                          ProtocolKind::kHotStuff1),
-                       ::testing::Values(Fault::kNone, Fault::kCrash)),
+                       ::testing::Values(kActNone, kActCrash)),
     LargeParamName);
 
 // Randomized delay jitter: message timing noise must never affect safety.

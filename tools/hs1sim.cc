@@ -2,7 +2,7 @@
 //
 // Examples:
 //   hs1sim --protocol=hotstuff1 --n=32 --batch=100 --duration_ms=2000
-//   hs1sim --protocol=slotted --n=31 --fault=slow --faulty=10 --timer_ms=100
+//   hs1sim --protocol=slotted --n=31 --strategy=0-:slow --faulty=10 --timer_ms=100
 //   hs1sim --protocol=hotstuff2 --workload=tpcc --regions=3 --paper_point
 //   hs1sim --scenario=fig8_scalability --jobs=4 --format=csv
 //
