@@ -103,7 +103,7 @@ ClientPool::Slot* ClientPool::FindSlot(Group& group, uint64_t id) {
 
 void ClientPool::SubmitFresh(uint64_t client) {
   // Enqueueing touches the shared submission queue: gate, so that a replica
-  // event earlier in the tick (whose DrawBatch passed its own gate and may
+  // event earlier in serial order (whose DrawBatch passed its own gate and may
   // still be mutating the queue) has completed before this event touches it.
   // The gate is pairwise: earlier accessors finish before later ones start.
   sim_->SyncShared();
@@ -147,8 +147,8 @@ void ClientPool::ArrivalTick(uint32_t g) {
 std::vector<Transaction> ClientPool::DrawBatch(ReplicaId leader, size_t max,
                                                SimTime now) {
   // Called synchronously from the proposing replica's event: under a
-  // parallel executor, wait for every earlier same-tick event so the queue
-  // is read and mutated in exact sequence order. Reads nothing group-local:
+  // parallel executor, wait for every event earlier in serial order so the
+  // queue is read and mutated in exact sequence order. Reads nothing group-local:
   // queue entries carry their own transaction copy, and draws are announced
   // to the owning group through its (gated) drawn log, picked up by the
   // group's sweeper.

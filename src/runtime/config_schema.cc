@@ -133,7 +133,7 @@ Codec<E> WithAliases(Codec<E> codec, std::vector<std::pair<std::string, E>> alia
 // (config and executor knobs) or the CommandLine (run-only options).
 template <KnobScope kScope, typename T, typename Field>
 Knob Bind(const char* name, Codec<T> codec, Field field, const char* help) {
-  using Root = std::conditional_t<kScope == KnobScope::kRun, CommandLine, ExperimentConfig>;
+  using Root = std::conditional_t<IsRunScope(kScope), CommandLine, ExperimentConfig>;
   Knob knob{name, codec.syntax, help, kScope, {}, {}, {}, {}};
   auto set = [codec, field](const std::string& text, Root& root, std::string* why) {
     T value{};
@@ -145,7 +145,7 @@ Knob Bind(const char* name, Codec<T> codec, Field field, const char* help) {
   auto get = [codec, field](const Root& root) {
     return codec.format(static_cast<T>(field(root)));
   };
-  if constexpr (kScope == KnobScope::kRun) {
+  if constexpr (IsRunScope(kScope)) {
     knob.set_run = set;
     knob.get_run = get;
   } else {
@@ -167,7 +167,7 @@ std::vector<Knob> MakeKnobs() {
   const Codec<CommitteeSchedule> committee{"<schedule>", ParseCommitteeSchedule,
                                            FormatCommitteeSchedule};
   const Codec<LookaheadSpec> lookahead{
-      "auto|off|<us>",
+      "auto|<us>",
       [](const std::string& s, LookaheadSpec* v, std::string*) { return ParseLookahead(s, v); },
       FormatLookahead};
   const Codec<std::string> name{
@@ -236,19 +236,21 @@ std::vector<Knob> MakeKnobs() {
       KNOB(kConfig, "liveness_grace_ms", Ms(0), liveness_grace,
            "liveness: silence after GST that fails (0 = auto)"),
       KNOB(kExecutor, "sim-jobs", Uint(1, kReplicas), sim_jobs,
-           "event-loop threads inside each point (default 1)"),
+           "event-loop threads inside each point (default 1,\n"
+           "the serial loop; capped runs always use it)"),
       KNOB(kExecutor, "lookahead", lookahead, lookahead,
-           "parallel event-loop window (default auto)"),
-      KNOB(kRun, "paper_point", Switch(), paper_point,
+           "parallel window: auto = the topology's safe\n"
+           "horizon, <us> caps it (default auto)"),
+      KNOB(kPointRun, "paper_point", Switch(), paper_point,
            "saturated throughput + light-load latency"),
       KNOB(kRun, "scenario", name, scenario, "run a registered scenario (or name it)"),
       KNOB(kRun, "all", Switch(), all, "run every registered scenario"),
       KNOB(kRun, "list", Switch(), list, "list registered scenarios with their axes"),
-      KNOB(kRun, "jobs", Uint(1, 1024), run.jobs,
+      KNOB(kScenarioRun, "jobs", Uint(1, 1024), run.jobs,
            "scenario points run in parallel (default: cores)"),
-      KNOB(kRun, "format", Enum<ReportFormat>({"table", "csv", "json"}), run.format,
+      KNOB(kScenarioRun, "format", Enum<ReportFormat>({"table", "csv", "json"}), run.format,
            "scenario output format (default table)"),
-      KNOB(kRun, "smoke", Switch(), run.smoke, "CI-sized scenario points"),
+      KNOB(kScenarioRun, "smoke", Switch(), run.smoke, "CI-sized scenario points"),
       KNOB(kRun, "help", Switch(), help, "this text"),
   };
 }
@@ -308,7 +310,11 @@ bool ParseCommandLine(int argc, const char* const* argv, CommandLine* out,
                              (knob->syntax.empty() ? "true|false" : knob->syntax) +
                              (why.empty() ? "" : ": " + why) + ")");
     }
-    if (knob->set) out->run.overrides.push_back({name, value});
+    if (knob->set) {
+      out->run.overrides.push_back({name, value});
+    } else {
+      out->run_flags.push_back(knob);
+    }
   }
   return true;
 }
@@ -381,7 +387,9 @@ std::string HelpText(const char* intro) {
        "each one given is forced onto every point unless the scenario sweeps\n"
        "that knob itself:"},
       {KnobScope::kExecutor, "Executor (results are byte-identical at any setting):"},
-      {KnobScope::kRun, "Run options:"}};
+      {KnobScope::kRun, "Run options:"},
+      {KnobScope::kScenarioRun, "Scenario options:"},
+      {KnobScope::kPointRun, "Single-point options:"}};
   std::string out = intro;
   for (const auto& [scope, title] : sections) {
     out += "\n" + std::string(title) + "\n";

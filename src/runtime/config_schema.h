@@ -22,8 +22,15 @@ enum class KnobScope {
   kConfig,    // an ExperimentConfig field that is part of a run's repro
   kExecutor,  // an ExperimentConfig field results never depend on (sim_jobs,
               // lookahead): forced like kConfig, left out of repros
-  kRun,       // an option of the command line itself (--jobs, --format, ...)
+  // Options of the command line itself. A run-only option the chosen mode
+  // does not read exits 2 (CliMain).
+  kRun,          // either mode (--scenario, --list, --help, ...)
+  kScenarioRun,  // scenarios only (--jobs, --format, --smoke)
+  kPointRun,     // a single point only (--paper_point)
 };
+
+/// True for the scopes whose options set the CommandLine, not the config.
+constexpr bool IsRunScope(KnobScope scope) { return scope >= KnobScope::kRun; }
 
 struct CommandLine;
 
@@ -77,6 +84,7 @@ struct CommandLine {
     return c;
   }();
   ScenarioRunOptions run;  // run.overrides: the config knobs as typed
+  std::vector<const Knob*> run_flags;   // the run-only options given
   std::vector<std::string> positional;  // scenario names
   std::string scenario;
   bool all = false;

@@ -1,6 +1,5 @@
 #include "runtime/experiment.h"
 
-#include <chrono>
 #include <limits>
 
 #include "baselines/hotstuff.h"
@@ -37,24 +36,14 @@ bool ParseLookahead(const std::string& s, LookaheadSpec* out) {
     *out = LookaheadSpec{LookaheadMode::kAuto, 0};
     return true;
   }
-  if (s == "off") {
-    *out = LookaheadSpec{LookaheadMode::kOff, 0};
-    return true;
-  }
   uint64_t v = 0;
-  if (!ParseUint(s, std::numeric_limits<SimTime>::max(), &v)) return false;
-  *out = v == 0 ? LookaheadSpec{LookaheadMode::kOff, 0}
-                : LookaheadSpec{LookaheadMode::kWindow, static_cast<SimTime>(v)};
+  if (!ParseUint(s, std::numeric_limits<SimTime>::max(), &v) || v == 0) return false;
+  *out = LookaheadSpec{LookaheadMode::kWindow, static_cast<SimTime>(v)};
   return true;
 }
 
 std::string FormatLookahead(const LookaheadSpec& spec) {
-  switch (spec.mode) {
-    case LookaheadMode::kAuto: return "auto";
-    case LookaheadMode::kOff: return "off";
-    case LookaheadMode::kWindow: return std::to_string(spec.window);
-  }
-  return "?";
+  return spec.mode == LookaheadMode::kAuto ? "auto" : std::to_string(spec.window);
 }
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
@@ -100,7 +89,6 @@ void Experiment::Setup() {
 
   sim_ = std::make_unique<sim::Simulator>();
   if (config_.event_cap > 0) sim_->SetEventCap(config_.event_cap);
-  if (config_.sim_jobs > 1) sim_->SetJobs(static_cast<int>(config_.sim_jobs));
   sim::NetworkConfig net_cfg;
   net_cfg.bandwidth_bytes_per_us = config_.bandwidth_bytes_per_us;
   net_cfg.seed = config_.seed;
@@ -155,20 +143,15 @@ void Experiment::Setup() {
   // Conservative lookahead horizon: no event may schedule onto another
   // shard sooner than the fastest cross-shard path — a network delivery
   // (min pairwise latency + egress serialization floor) or a replica->
-  // client response hop. Faults, jitter, and impairments only add delay.
-  SimTime lookahead_window = 0;
-  switch (config_.lookahead.mode) {
-    case LookaheadMode::kOff:
-      break;
-    case LookaheadMode::kWindow:
-      lookahead_window = config_.lookahead.window;
-      break;
-    case LookaheadMode::kAuto:
-      lookahead_window =
-          std::min(net_->MinDeliveryLatency(), clients_->MinResponseLatency());
-      break;
+  // client response hop. Faults, jitter, and impairments only add delay. An
+  // explicit window only narrows it. A capped run, or a horizon of 1 us or
+  // less, gets no executor (Simulator::SetParallelism) and takes exactly the
+  // serial path of sim_jobs = 1.
+  SimTime horizon = std::min(net_->MinDeliveryLatency(), clients_->MinResponseLatency());
+  if (config_.lookahead.mode == LookaheadMode::kWindow) {
+    horizon = std::min(horizon, config_.lookahead.window);
   }
-  sim_->SetLookahead(lookahead_window);
+  sim_->SetParallelism(static_cast<int>(config_.sim_jobs), horizon);
 
   ConsensusConfig cc = ConsensusConfig::ForN(n);
   cc.batch_size = config_.batch_size;
@@ -204,12 +187,6 @@ void Experiment::Setup() {
   }
   plan_ = MakeAdversaryPlan(n, config_.num_faulty, config_.rollback_victims,
                             std::move(schedule));
-
-  // The event cap needs the serial tick boundary for exact accounting, so
-  // the parallel executor silently pins itself to tick-parallel while a cap
-  // is set — visible here instead of silent (EmitTables / RunScenario warn).
-  cap_parallelism_degraded_ =
-      config_.event_cap > 0 && config_.sim_jobs > 1 && lookahead_window > 0;
 
   if (config_.oracle_enabled) {
     InvariantOracle::Setup os;
@@ -345,7 +322,6 @@ void Experiment::Setup() {
 
 ExperimentResult Experiment::Run() {
   Setup();
-  const auto wall_start = std::chrono::steady_clock::now();
   for (auto& r : replicas_) {
     if (!r->crashed()) r->Start();
   }
@@ -412,10 +388,6 @@ ExperimentResult Experiment::Run() {
     res.liveness_violations = liveness_->violations();
     res.liveness_first_violation = liveness_->FirstDiagnostic();
   }
-  res.cap_parallelism_degraded = cap_parallelism_degraded_;
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
   return res;
 }
 
@@ -466,9 +438,6 @@ ExperimentResult RunPaperPoint(const ExperimentConfig& config) {
   if (result.liveness_first_violation.empty()) {
     result.liveness_first_violation = lat.liveness_first_violation;
   }
-  result.cap_parallelism_degraded =
-      result.cap_parallelism_degraded || lat.cap_parallelism_degraded;
-  result.wall_ms += lat.wall_ms;
   return result;
 }
 

@@ -40,8 +40,7 @@ enum class WorkloadKind { kYcsb = 0, kTpcc = 1 };
 /// timestamps concurrently — see docs/ARCHITECTURE.md, "Lookahead window").
 enum class LookaheadMode : uint32_t {
   kAuto = 0,    // derive from min cross-shard delivery latency at setup
-  kOff = 1,     // tick-parallel only (PR 2 behavior)
-  kWindow = 2,  // explicit window, microseconds of virtual time
+  kWindow = 1,  // at most `window` microseconds of the derived horizon
 };
 
 struct LookaheadSpec {
@@ -57,8 +56,8 @@ inline bool operator!=(const LookaheadSpec& a, const LookaheadSpec& b) {
   return !(a == b);
 }
 
-/// Parses "auto", "off", or a positive integer microsecond window ("0" is
-/// off). Returns false on anything else.
+/// Parses "auto" or a positive integer microsecond window. Returns false on
+/// anything else, "off" and "0" included (--sim-jobs=1 runs serially).
 bool ParseLookahead(const std::string& s, LookaheadSpec* out);
 std::string FormatLookahead(const LookaheadSpec& spec);
 
@@ -136,10 +135,11 @@ struct ExperimentConfig {
   uint32_t sim_jobs = 1;
 
   // Conservative lookahead window for the parallel event loop (--lookahead).
-  // kAuto derives the safe horizon from the topology's minimum cross-shard
-  // delivery latency plus the bandwidth serialization floor; any setting is
-  // byte-identical to any other. Only consulted when sim_jobs > 1, and
-  // forced off (tick-parallel) while event_cap is set.
+  // The safe horizon is the topology's minimum cross-shard delivery latency
+  // plus the bandwidth serialization floor; kWindow caps it at `window`. Any
+  // setting is byte-identical to any other. Only consulted when sim_jobs > 1.
+  // A run with an event cap or a horizon of 1 us or less gets no executor:
+  // it takes exactly the sim_jobs = 1 path.
   LookaheadSpec lookahead;
 
   // Safety valve against runaway event storms: 0 = unlimited. A truncated
@@ -210,16 +210,6 @@ struct ExperimentResult {
   // contract as the safety oracle's fields above.
   uint64_t liveness_violations = 0;
   std::string liveness_first_violation;
-  // True when event_cap forced the parallel executor to silently fall back
-  // to tick-parallel scheduling (cap accounting needs the serial tick
-  // boundary, so windowed lookahead is disabled while a cap is set).
-  // Executor-shape-dependent by definition: excluded from CSV/JSON emitters
-  // and from result-equality checks, surfaced as a visible warning instead.
-  bool cap_parallelism_degraded = false;
-  // Real (wall-clock) milliseconds spent executing the run. The only
-  // nondeterministic field; excluded from every deterministic emitter, used
-  // by the par_speedup scenario.
-  double wall_ms = 0;
 };
 
 class Experiment {
@@ -261,7 +251,6 @@ class Experiment {
   std::unique_ptr<ClientPool> clients_;
   std::unique_ptr<InvariantOracle> oracle_;
   std::unique_ptr<LivenessOracle> liveness_;
-  bool cap_parallelism_degraded_ = false;
   std::shared_ptr<const CommitteeSchedule> committee_;  // resolved; null = static
   AdversaryPlan plan_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;

@@ -47,8 +47,9 @@ ExperimentConfig FuzzConfigFromSeed(uint64_t seed) {
   cfg.bandwidth_bytes_per_us = kBandwidths[rng.NextBounded(3)];
 
   cfg.sim_jobs = 1u << rng.NextBounded(3);  // 1, 2 or 4 workers
+  // The derived horizon, or a window narrower than any LAN hop.
   cfg.lookahead = rng.NextBool(0.5) ? LookaheadSpec{LookaheadMode::kAuto, 0}
-                                    : LookaheadSpec{LookaheadMode::kOff, 0};
+                                    : LookaheadSpec{LookaheadMode::kWindow, 100};
 
   cfg.num_clients = 2 * cfg.batch_size;
   // Wide committees pay ~n^2 per view; keep their windows shorter so a fuzz

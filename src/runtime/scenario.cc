@@ -43,11 +43,6 @@ MetricSpec CountMetric(std::string name,
           [](double v) { return FormatCount(static_cast<uint64_t>(v)); }};
 }
 
-MetricSpec WallClockMetric() {
-  return {"wall_ms", [](const ExperimentResult& r) { return r.wall_ms; },
-          [](double v) { return FormatMs(v); }, /*deterministic=*/false};
-}
-
 Axis PaperProtocolAxis() {
   Axis axis;
   for (ProtocolKind kind :
@@ -79,7 +74,6 @@ Axis SubsampleEndpoints(const Axis& axis) {
 
 std::vector<SweepPoint> ExpandScenario(const ScenarioSpec& spec, bool smoke,
                                        const std::vector<KnobSetting>& overrides) {
-  HS1_CHECK(!spec.custom_run) << "custom scenarios do not expand to sweep points";
   const Axis no_axis{{"", nullptr}};
   Axis tables = spec.tables.empty() ? no_axis : spec.tables;
   Axis rows = spec.rows.empty() ? no_axis : spec.rows;

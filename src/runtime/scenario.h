@@ -32,17 +32,12 @@ using Axis = std::vector<AxisPoint>;
 
 /// A metric column: extract a raw value from an ExperimentResult, format it
 /// for the human-readable table. `value` and `format` must be pure (they
-/// run per point per emitter, in deterministic spec order).
-///
-/// `deterministic = false` marks a metric whose value varies across runs
-/// (wall_ms is the only one). The machine-readable emitters (CSV/JSON) skip
-/// such columns so their bytes stay identical at any --jobs / --sim-jobs /
-/// --lookahead *and across repeated runs*; tables still show them.
+/// run per point per emitter, in deterministic spec order), so every output
+/// is a function of (config, seed).
 struct MetricSpec {
   std::string name;
   std::function<double(const ExperimentResult&)> value;
   std::function<std::string(double)> format;
-  bool deterministic = true;
 };
 
 // Stock metrics used by most figure scenarios.
@@ -53,10 +48,6 @@ MetricSpec P99LatencyMetric();
 MetricSpec P999LatencyMetric();
 MetricSpec CountMetric(std::string name,
                        std::function<double(const ExperimentResult&)> value);
-/// Real milliseconds spent executing the point. The one inherently
-/// nondeterministic metric — only speedup-style scenarios should use it,
-/// and their output is exempt from the byte-identical contract.
-MetricSpec WallClockMetric();
 
 /// The protocol column axis shared by the figure benches (HotStuff,
 /// HotStuff-2, HotStuff-1, HS-1 slotted).
@@ -108,14 +99,6 @@ struct ScenarioSpec {
   /// (fig_liveness's over-threshold rows, the over-threshold fuzz tier).
   /// Must be pure (runs once per point, in deterministic spec order).
   std::function<bool(const SweepPoint&, const ExperimentResult&)> point_judge;
-
-  /// Free-form note printed under the scenario's tables (par_speedup uses it
-  /// to annotate single-core hosts where speedup is meaningless).
-  std::string table_note;
-
-  /// Escape hatch for scenarios that are not config sweeps (micro-benchmarks):
-  /// when set, the sweep machinery is bypassed and this runs instead.
-  std::function<int(const ScenarioRunOptions&)> custom_run;
 };
 
 /// One expanded (config, seed) execution point of a scenario sweep.

@@ -29,13 +29,6 @@ bool SweepOutcome::AnyCapHit() const {
   return false;
 }
 
-bool SweepOutcome::AnyCapDegraded() const {
-  for (const ExperimentResult& r : results) {
-    if (r.cap_parallelism_degraded) return true;
-  }
-  return false;
-}
-
 uint64_t SweepOutcome::TotalOracleViolations() const {
   uint64_t total = 0;
   for (const ExperimentResult& r : results) total += r.oracle_violations;
@@ -176,7 +169,6 @@ std::string FormatAxis(const std::string& name, const Axis& axis) {
 }
 
 std::string DescribeAxes(const ScenarioSpec& spec) {
-  if (spec.custom_run) return "custom (not a config sweep)";
   std::string out;
   if (!spec.tables.empty()) {
     out += FormatAxis(spec.table_name.empty() ? "table" : spec.table_name, spec.tables);
@@ -275,32 +267,13 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os) {
     }
     if (capped > listed) os << "  ... and " << (capped - listed) << " more\n";
   }
-  // Degraded parallelism is also never silent: an event cap pins the
-  // parallel executor to tick-parallel scheduling, so --sim-jobs > 1 with a
-  // cap runs slower than the flag suggests.
-  size_t degraded = 0;
-  for (const ExperimentResult& r : outcome.results) {
-    degraded += r.cap_parallelism_degraded ? 1 : 0;
-  }
-  if (degraded > 0) {
-    os << "NOTE: " << degraded << " of " << outcome.results.size()
-       << " points ran with an event cap under --sim-jobs > 1; windowed "
-          "lookahead is disabled while a cap is set, so those points fell "
-          "back to tick-parallel scheduling (cap_parallelism_degraded)\n";
-  }
-  if (!spec.table_note.empty()) os << spec.table_note << "\n";
 }
 
 void EmitCsv(const SweepOutcome& outcome, std::ostream& os) {
   const ScenarioSpec& spec = *outcome.spec;
-  const std::vector<DiagColumn> diags =
-      outcome.synthetic ? std::vector<DiagColumn>{} : DiagColumns(spec.metrics);
+  const std::vector<DiagColumn> diags = DiagColumns(spec.metrics);
   os << "scenario,table,row,col,seed";
-  // Nondeterministic metrics (wall_ms) are table-only: the machine-readable
-  // bytes must be identical across repeated runs for the CI diff gates.
-  for (const MetricSpec& m : spec.metrics) {
-    if (m.deterministic) os << "," << CsvEscape(m.name);
-  }
+  for (const MetricSpec& m : spec.metrics) os << "," << CsvEscape(m.name);
   for (const DiagColumn& d : diags) os << "," << d.name;
   os << "\n";
   for (size_t i = 0; i < outcome.points.size(); ++i) {
@@ -308,9 +281,7 @@ void EmitCsv(const SweepOutcome& outcome, std::ostream& os) {
     const ExperimentResult& r = outcome.results[i];
     os << CsvEscape(spec.name) << "," << CsvEscape(p.table_label) << ","
        << CsvEscape(p.row_label) << "," << CsvEscape(p.col_label) << "," << p.seed;
-    for (const MetricSpec& m : spec.metrics) {
-      if (m.deterministic) os << "," << FormatDouble(m.value(r));
-    }
+    for (const MetricSpec& m : spec.metrics) os << "," << FormatDouble(m.value(r));
     for (const DiagColumn& d : diags) os << "," << d.value(r);
     os << "\n";
   }
@@ -319,8 +290,7 @@ void EmitCsv(const SweepOutcome& outcome, std::ostream& os) {
 
 void EmitJson(const SweepOutcome& outcome, std::ostream& os) {
   const ScenarioSpec& spec = *outcome.spec;
-  const std::vector<DiagColumn> diags =
-      outcome.synthetic ? std::vector<DiagColumn>{} : DiagColumns(spec.metrics);
+  const std::vector<DiagColumn> diags = DiagColumns(spec.metrics);
   os << "{\"scenario\":\"" << JsonEscape(spec.name) << "\",\"points\":[";
   for (size_t i = 0; i < outcome.points.size(); ++i) {
     const SweepPoint& p = outcome.points[i];
@@ -329,7 +299,6 @@ void EmitJson(const SweepOutcome& outcome, std::ostream& os) {
        << "\",\"row\":\"" << JsonEscape(p.row_label) << "\",\"col\":\""
        << JsonEscape(p.col_label) << "\",\"seed\":" << p.seed;
     for (const MetricSpec& m : spec.metrics) {
-      if (!m.deterministic) continue;  // see EmitCsv
       os << ",\"" << JsonEscape(m.name) << "\":" << FormatDouble(m.value(r));
     }
     for (const DiagColumn& d : diags) os << ",\"" << d.name << "\":" << d.value(r);
@@ -341,8 +310,6 @@ void EmitJson(const SweepOutcome& outcome, std::ostream& os) {
 
 int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
   std::ostream& os = options.out ? *options.out : std::cout;
-  if (spec.custom_run) return spec.custom_run(options);
-
   const SweepOutcome outcome =
       SweepRunner(options.jobs, options.overrides).Run(spec, options.smoke);
   if (!outcome.error.empty()) {
@@ -357,11 +324,6 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
   if (outcome.AnyCapHit()) {
     std::cerr << "warning: scenario '" << spec.name
               << "' hit the simulator event cap; results are truncated\n";
-  }
-  if (outcome.AnyCapDegraded()) {
-    std::cerr << "warning: scenario '" << spec.name
-              << "' ran capped points with --sim-jobs > 1; windowed lookahead "
-                 "was disabled for them (cap_parallelism_degraded)\n";
   }
   // A scenario whose points *expect* violations judges itself: the exit code
   // comes from its point_judge, not the blanket any-violation-fails rule.
@@ -418,11 +380,22 @@ int CliMain(int argc, char** argv, const char* intro,
   if (cl.all) {
     for (const ScenarioSpec* spec : registry.All()) names.push_back(spec->name);
   }
+  if (names.empty() && !run_point) {
+    std::fputs(HelpText(intro).c_str(), stderr);
+    return 2;
+  }
+  // A run-only option the chosen mode does not read is an error, not a
+  // silent no-op.
+  const KnobScope unread = names.empty() ? KnobScope::kScenarioRun : KnobScope::kPointRun;
+  for (const Knob* knob : cl.run_flags) {
+    if (knob->scope != unread) continue;
+    std::fprintf(stderr, "--%s applies to %s\n", knob->name.c_str(),
+                 names.empty() ? "scenarios only (--scenario, --all or a scenario "
+                                 "name), not to a single point"
+                               : "a single point only, not to scenarios");
+    return 2;
+  }
   if (names.empty()) {
-    if (!run_point) {
-      std::fputs(HelpText(intro).c_str(), stderr);
-      return 2;
-    }
     if (!ResolveSinglePoint(&cl, &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 2;

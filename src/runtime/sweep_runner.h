@@ -21,19 +21,11 @@ struct SweepOutcome {
   const ScenarioSpec* spec = nullptr;
   std::vector<SweepPoint> points;
   std::vector<ExperimentResult> results;
-  /// True when the results were synthesized rather than produced by
-  /// experiments (micro's wall-clock points). The machine emitters then
-  /// omit the experiment diagnostic columns (safety_ok, oracle_violations,
-  /// ...) instead of fabricating verdicts for runs that never happened.
-  bool synthetic = false;
   /// Set instead of results when an override made a point unrunnable.
   std::string error;
 
   bool AllSafe() const;
   bool AnyCapHit() const;
-  /// Any point silently fell back to tick-parallel because an event cap was
-  /// set under --sim-jobs > 1 (ExperimentResult::cap_parallelism_degraded).
-  bool AnyCapDegraded() const;
   /// Sum of invariant-oracle violations across points (0 when disabled).
   uint64_t TotalOracleViolations() const;
   /// First oracle diagnostic in spec order; empty when clean.
@@ -71,15 +63,16 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os);
 void EmitCsv(const SweepOutcome& outcome, std::ostream& os);
 void EmitJson(const SweepOutcome& outcome, std::ostream& os);
 
-/// Runs one registered scenario end to end (sweep or custom) and writes the
-/// requested format. Returns a process exit code (0 ok, 1 safety violation,
-/// 2 an override the scenario cannot run).
+/// Runs one registered scenario end to end and writes the requested format.
+/// Returns a process exit code (0 ok, 1 safety violation, 2 an override the
+/// scenario cannot run).
 int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options);
 
 /// The front end shared by hs1sim and hs1bench: --help, --list, and the
 /// scenarios named by --scenario, --all or positional arguments. A command
 /// line naming none goes to `run_point` with its resolved config (null:
-/// usage error). Flag errors exit 2.
+/// usage error). Flag errors exit 2, as does a run-only option the chosen
+/// mode does not read (KnobScope).
 int CliMain(int argc, char** argv, const char* intro,
             const std::function<int(const CommandLine&)>& run_point);
 

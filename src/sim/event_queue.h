@@ -17,17 +17,16 @@
 //   no-past-push: every Push happens at time >= the maximum time ever
 //   popped (near_start_).
 //
-// The simulator guarantees it on every path: serial/tick/window execution
-// clamp scheduling to the executing event's own time, the cap-fallback
-// repush re-inserts at exactly the popped tick, and window commits only push
-// at or beyond the executed horizon. Push checks it.
+// The simulator guarantees it on every path: serial and window execution
+// clamp scheduling to the executing event's own time, and window commits
+// only push at or beyond the executed horizon. Push checks it.
 //
 // In-bucket order relies on a second property: appends into one bucket
-// carry ascending seq. Fresh pushes have globally increasing seqs; repushes
-// refill a just-drained bucket in pop (= seq) order; far->near migration
-// happens only when the ring is empty and drains the heap in (time, seq)
-// order. Peek never advances the window (a peeked-but-unpopped event must
-// not constrain later pushes, see Simulator::RunUntil).
+// carry ascending seq. Fresh pushes have globally increasing seqs, and
+// far->near migration happens only when the ring is empty and drains the
+// heap in (time, seq) order. Peek never advances the window (a
+// peeked-but-unpopped event must not constrain later pushes, see
+// Simulator::RunUntil).
 
 #ifndef HOTSTUFF1_SIM_EVENT_QUEUE_H_
 #define HOTSTUFF1_SIM_EVENT_QUEUE_H_

@@ -162,8 +162,8 @@ void Network::Broadcast(NodeId from, const NetMessagePtr& msg, bool include_self
 
 void Network::DeliverLater(NodeId from, NodeId to, NetMessagePtr msg, SimTime arrival) {
   // Delivery runs on the destination's shard: the handler mutates only
-  // receiver-owned state, so same-tick deliveries to distinct nodes may
-  // execute concurrently under a parallel executor.
+  // receiver-owned state, so deliveries to distinct nodes may execute
+  // concurrently under a parallel executor.
   sim_->AtShard(arrival, to, [this, from, to, msg = std::move(msg)]() {
     TryDeliver(from, to, msg);
   });

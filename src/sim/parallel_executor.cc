@@ -1,46 +1,22 @@
 #include "sim/parallel_executor.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace hotstuff1::sim {
 
-namespace {
-
-// Context of the tick or window event the current thread is executing (if
-// any). Used to inherit shards, stage scheduled events, resolve SyncShared
-// waits, and report per-event virtual time.
-struct TickContext {
+// Context of the window event the current thread is executing (if any). Used
+// to inherit shards, stage scheduled events, resolve SyncShared waits, and
+// report per-event virtual time.
+struct ParallelExecutor::EventContext {
   ParallelExecutor* exec = nullptr;
   Simulator* sim = nullptr;
-  size_t idx = 0;    // tick mode: index into the current round
-  void* win = nullptr;  // window mode: the WindowEvent being executed
+  WindowEvent* event = nullptr;
   SimTime time = 0;  // the event's own virtual timestamp
 };
-thread_local TickContext tls_ctx;
-
-// Chain-handoff protocol (state_ array). A claimer whose same-shard
-// predecessor is still running cannot execute its event yet; instead of
-// blocking (the old WaitEventDone), it exchanges kClaimerPassed into the
-// event's state and moves on to the next task. The predecessor's runner,
-// after finishing, exchanges kPrevDone into the successor's state. Whichever
-// exchange runs SECOND sees the other side's mark and owns the event —
-// exchanges on one atomic are totally ordered, so exactly one side runs it.
-// The winner being the predecessor's runner is the common case, which makes
-// one thread execute a whole per-shard chain back to back.
-//
-// Deadlock-freedom (why renouncing preserves the old claim discipline's
-// guarantee): no thread ever blocks on a chain link, so every claimed index
-// is either executed or handed to a runner that executes it; the globally
-// smallest incomplete event's predecessor is always complete, so its runner
-// is never parked in SyncShared and progress is assured.
-constexpr uint8_t kStateClaimerPassed = 1;
-constexpr uint8_t kStatePrevDone = 2;
-
-}  // namespace
+thread_local ParallelExecutor::EventContext ParallelExecutor::tls_ctx_;
 
 ParallelExecutor::ParallelExecutor(Simulator* sim, int jobs) : sim_(sim) {
   HS1_CHECK_GE(jobs, 2);
@@ -59,28 +35,22 @@ ParallelExecutor::~ParallelExecutor() {
   for (std::thread& t : threads_) t.join();
 }
 
-bool ParallelExecutor::StageIfInTick(Simulator* sim, SimTime t, ShardId shard,
-                                     Simulator::Callback* cb) {
-  TickContext& ctx = tls_ctx;
+bool ParallelExecutor::StageIfInWindow(Simulator* sim, SimTime t, ShardId shard,
+                                       Simulator::Callback* cb) {
+  const EventContext& ctx = tls_ctx_;
   if (ctx.exec == nullptr || ctx.sim != sim) return false;
-  if (ctx.win != nullptr) {
-    ctx.exec->StageWindow(static_cast<WindowEvent*>(ctx.win), t, shard, cb);
-    return true;
-  }
-  (*ctx.exec->round_)[ctx.idx].staged.push_back(
-      StagedEvent{t, shard, std::move(*cb), nullptr});
+  ctx.exec->StageWindow(ctx.event, t, shard, cb);
   return true;
 }
 
 ShardId ParallelExecutor::InheritedShard() {
-  const TickContext& ctx = tls_ctx;
+  const EventContext& ctx = tls_ctx_;
   if (ctx.exec == nullptr) return kShardSerial;
-  if (ctx.win != nullptr) return static_cast<WindowEvent*>(ctx.win)->shard;
-  return (*ctx.exec->round_)[ctx.idx].shard;
+  return ctx.event->shard;
 }
 
 SimTime ParallelExecutor::EffectiveNow(const Simulator* sim, SimTime fallback) {
-  const TickContext& ctx = tls_ctx;
+  const EventContext& ctx = tls_ctx_;
   if (ctx.exec == nullptr || ctx.sim != sim) return fallback;
   return ctx.time;
 }
@@ -88,72 +58,20 @@ SimTime ParallelExecutor::EffectiveNow(const Simulator* sim, SimTime fallback) {
 void ParallelExecutor::Drain(SimTime limit) {
   HS1_CHECK(!draining_) << "Simulator::Run/RunUntil is not reentrant";
   draining_ = true;
-  // Lookahead requires exact-cap truncation to be impossible mid-window, so
-  // a finite event cap pins the executor to the tick path (see header).
   const SimTime window = sim_->lookahead_;
-  const bool windowed = window > 1 && sim_->event_cap_ == UINT64_MAX;
-  std::vector<TickEvent> round;
   EventHandle h;
   ShardId shard = kShardSerial;
   while (sim_->PeekEvent(&h, &shard) && h.time <= limit) {
-    if (sim_->events_processed_ >= sim_->event_cap_) {
-      sim_->cap_hit_ = true;
-      break;
-    }
-    const SimTime t = h.time;
-    sim_->now_ = t;
-    if (!windowed || shard == kShardSerial) {
-      // Tick path: also the barrier fallback under lookahead (the tick
-      // machinery orders barriers against their same-tick neighbors).
-      if (RunTickRounds(t, limit, round)) break;
+    if (shard == kShardSerial) {
+      sim_->Step();  // a barrier runs alone, exactly as on the serial loop
       continue;
     }
     // Events eligible for the window: time <= limit and time < t + window.
-    const SimTime span = std::min<SimTime>(window - 1, limit - t);
-    PopWindow(/*horizon=*/t + span + 1);
+    const SimTime span = std::min<SimTime>(window - 1, limit - h.time);
+    PopWindow(/*horizon=*/h.time + span + 1);
     RunWindow();
   }
   draining_ = false;
-}
-
-bool ParallelExecutor::RunTickRounds(SimTime t, SimTime limit,
-                                     std::vector<TickEvent>& round) {
-  PopRound(t, &round);
-  while (!round.empty()) {
-    if (sim_->events_processed_ + round.size() > sim_->event_cap_) {
-      // The cap lands inside this round: put the events back (sequence
-      // numbers preserved) and truncate one event at a time exactly like
-      // the serial loop would.
-      for (TickEvent& ev : round) {
-        sim_->RepushEvent(Simulator::Event{t, ev.seq, ev.shard, std::move(ev.cb)});
-      }
-      round.clear();
-      SerialCapTail(limit);
-      return true;
-    }
-    RunRound(round);
-    sim_->events_processed_ += round.size();
-    // Deterministic commit: staged events enter the queue in (parent
-    // dispatch order, call order) — the order the serial loop would have
-    // assigned sequence numbers in.
-    for (TickEvent& ev : round) {
-      for (StagedEvent& s : ev.staged) {
-        sim_->PushEvent(s.time, s.shard, std::move(s.cb));
-      }
-    }
-    round.clear();
-    // Zero-delay follow-ons run within the same tick, after everything
-    // that was already queued at this timestamp (their seqs are larger).
-    PopRound(t, &round);
-  }
-  return false;
-}
-
-void ParallelExecutor::SerialCapTail(SimTime limit) {
-  EventHandle h;
-  while (sim_->queue_.Peek(&h) && h.time <= limit) {
-    if (!sim_->Step()) break;  // Step sets cap_hit_ at the cap
-  }
 }
 
 void ParallelExecutor::PopWindow(SimTime horizon) {
@@ -263,10 +181,10 @@ ParallelExecutor::WindowEvent* ParallelExecutor::CompleteWindowEventLocked(
 }
 
 void ParallelExecutor::RunWindowEvent(WindowEvent* ev) {
-  TickContext saved = tls_ctx;
-  tls_ctx = TickContext{this, sim_, 0, ev, ev->time};
+  const EventContext saved = tls_ctx_;
+  tls_ctx_ = EventContext{this, sim_, ev, ev->time};
   ev->cb();
-  tls_ctx = saved;
+  tls_ctx_ = saved;
 }
 
 void ParallelExecutor::StageWindow(WindowEvent* parent, SimTime t, ShardId shard,
@@ -334,228 +252,30 @@ void ParallelExecutor::CommitWindow() {
   win_outstanding_ = 0;
 }
 
-void ParallelExecutor::PopRound(SimTime t, std::vector<TickEvent>* out) {
-  auto& last_of_shard = last_of_shard_;
-  last_of_shard.clear();
-  EventHandle h;
-  while (sim_->queue_.Peek(&h) && h.time == t) {
-    Simulator::Event ev = sim_->PopEvent();
-    TickEvent te;
-    te.seq = ev.seq;
-    te.shard = ev.shard;
-    te.cb = std::move(ev.cb);
-    if (te.shard != kShardSerial) {
-      const int idx = static_cast<int>(out->size());
-      auto [it, inserted] = last_of_shard.try_emplace(te.shard, idx);
-      if (!inserted) {
-        te.prev_same_shard = it->second;
-        (*out)[it->second].next_same_shard = idx;
-        it->second = idx;
-      }
-    }
-    out->push_back(std::move(te));
-  }
-}
-
-void ParallelExecutor::RunRound(std::vector<TickEvent>& round) {
-  const size_t n = round.size();
-  round_ = &round;
-  EnsureFlagCapacity(n);
-  for (size_t i = 0; i < n; ++i) {
-    done_[i].store(0, std::memory_order_relaxed);
-    state_[i].store(0, std::memory_order_relaxed);
-  }
-  done_scan_ = 0;
-  // The resets publish to workers through mu_ in RunSegment (workers only
-  // enter a segment after acquiring it), so no fence is needed here.
-  size_t i = 0;
-  while (i < n) {
-    if (round[i].shard == kShardSerial) {
-      // Barrier: everything before completes, the event runs alone.
-      WaitAllDoneBelow(i);
-      RunEvent(i);
-      ++i;
-      continue;
-    }
-    size_t end = i;
-    while (end < n && round[end].shard != kShardSerial) ++end;
-    RunSegment(i, end);
-    i = end;
-  }
-  WaitAllDoneBelow(n);
-  round_ = nullptr;
-}
-
-void ParallelExecutor::RunSegment(size_t begin, size_t end) {
-  std::vector<TickEvent>& round = *round_;
-  bool one_shard = true;
-  for (size_t j = begin + 1; j < end && one_shard; ++j) {
-    one_shard = round[j].shard == round[begin].shard;
-  }
-  if (end - begin == 1 || one_shard) {
-    // Nothing to parallelize: run inline without waking the pool. All
-    // earlier events are complete here, and index order == chain order.
-    for (size_t j = begin; j < end; ++j) RunEvent(j);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    next_task_.store(begin, std::memory_order_relaxed);
-    segment_begin_ = begin;
-    segment_end_ = end;
-    ++segment_gen_;
-    segment_active_ = true;
-  }
-  work_cv_.notify_all();
-  // The driving thread participates in the segment.
-  RunTasks(begin, end);
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    // Wait for completion AND for every worker to leave its task loop: a
-    // worker between tasks could otherwise race the next segment's
-    // next_task_ reset and grab an index against stale bounds.
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    done_cv_.wait(lk, [&] {
-      return AllDoneBelowLocked(end) && busy_workers_ == 0;
-    });
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-    segment_active_ = false;
-  }
-}
-
-void ParallelExecutor::RunTasks(size_t begin, size_t end) {
-  for (;;) {
-    const size_t idx = next_task_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= end) return;
-    RunTask(idx, begin, end);
-  }
-}
-
-void ParallelExecutor::RunTask(size_t idx, size_t begin, size_t end) {
-  const int prev = (*round_)[idx].prev_same_shard;
-  if (prev >= static_cast<int>(begin) &&
-      done_[prev].load(std::memory_order_seq_cst) == 0) {
-    // The chain predecessor is (or just was) still running. Hand the event
-    // off instead of blocking: if our exchange runs first, the
-    // predecessor's runner sees the mark and continues the chain into this
-    // event; if it runs second, the predecessor has retired and we own it.
-    if (state_[idx].exchange(kStateClaimerPassed, std::memory_order_seq_cst) !=
-        kStatePrevDone) {
-      return;
-    }
-  }
-  RunChainFrom(idx, end);
-}
-
-void ParallelExecutor::RunChainFrom(size_t idx, size_t end) {
-  for (;;) {
-    RunEvent(idx);
-    const int next = (*round_)[idx].next_same_shard;
-    if (next < 0 || static_cast<size_t>(next) >= end) return;
-    // Mirror of RunTask's handoff: if the successor's claimer already
-    // renounced it, keep the chain; otherwise the claimer (who has not
-    // arrived yet) will see our done flag and run it.
-    if (state_[next].exchange(kStatePrevDone, std::memory_order_seq_cst) !=
-        kStateClaimerPassed) {
-      return;
-    }
-    idx = static_cast<size_t>(next);
-  }
-}
-
 void ParallelExecutor::WorkerLoop() {
   uint64_t seen_gen = 0;
-  uint64_t seen_window_gen = 0;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     work_cv_.wait(lk, [&] {
-      return stop_ || (segment_active_ && segment_gen_ != seen_gen) ||
-             (window_active_ && window_gen_ != seen_window_gen);
+      return stop_ || (window_active_ && window_gen_ != seen_gen);
     });
     if (stop_) return;
-    if (window_active_ && window_gen_ != seen_window_gen) {
-      seen_window_gen = window_gen_;
-      ++busy_workers_;
-      WindowLoopLocked(lk);
-      --busy_workers_;
-      if (busy_workers_ == 0) done_cv_.notify_all();
-      continue;
-    }
-    seen_gen = segment_gen_;
-    const size_t begin = segment_begin_;
-    const size_t end = segment_end_;
+    seen_gen = window_gen_;
     ++busy_workers_;
-    lk.unlock();
-    RunTasks(begin, end);
-    lk.lock();
+    WindowLoopLocked(lk);
     --busy_workers_;
     if (busy_workers_ == 0) done_cv_.notify_all();
   }
 }
 
-void ParallelExecutor::RunEvent(size_t idx) {
-  // Chain order is enforced by the claim/handoff protocol (RunTask /
-  // RunChainFrom): whoever reaches here owns the event and its same-shard
-  // predecessor has completed.
-  TickEvent& ev = (*round_)[idx];
-  TickContext saved = tls_ctx;
-  tls_ctx = TickContext{this, sim_, idx, nullptr, sim_->now_};
-  ev.cb();
-  tls_ctx = saved;
-  MarkDone(idx);
-}
-
-bool ParallelExecutor::AllDoneBelowLocked(size_t idx) {
-  while (done_scan_ < idx &&
-         done_[done_scan_].load(std::memory_order_seq_cst) != 0) {
-    ++done_scan_;
-  }
-  return done_scan_ >= idx;
-}
-
-void ParallelExecutor::WaitAllDoneBelow(size_t idx) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (AllDoneBelowLocked(idx)) return;
-  waiters_.fetch_add(1, std::memory_order_seq_cst);
-  done_cv_.wait(lk, [&] { return AllDoneBelowLocked(idx); });
-  waiters_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void ParallelExecutor::MarkDone(size_t idx) {
-  // Lock-free fast path. The seq_cst store/load pair against
-  // WaitAllDoneBelow's registered-then-recheck sequence guarantees either we
-  // see the waiter (and notify under the lock), or the waiter's predicate
-  // re-check sees our flag before it sleeps.
-  done_[idx].store(1, std::memory_order_seq_cst);
-  if (waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lk(mu_);
-    done_cv_.notify_all();
-  }
-}
-
-void ParallelExecutor::EnsureFlagCapacity(size_t n) {
-  if (n <= flags_cap_) return;
-  size_t cap = flags_cap_ == 0 ? 256 : flags_cap_;
-  while (cap < n) cap *= 2;
-  done_ = std::make_unique<std::atomic<uint8_t>[]>(cap);
-  state_ = std::make_unique<std::atomic<uint8_t>[]>(cap);
-  flags_cap_ = cap;
-}
-
 void ParallelExecutor::SyncShared() {
-  const TickContext& ctx = tls_ctx;
-  if (ctx.exec != this) return;  // not inside one of this executor's ticks
-  if (ctx.win != nullptr) {
-    // Window mode: proceed once the caller is the globally smallest
-    // incomplete event — every event the serial loop would have run first
-    // has completed, and (children sorting after their incomplete parents)
-    // none can appear later.
-    WindowEvent* self = static_cast<WindowEvent*>(ctx.win);
-    std::unique_lock<std::mutex> lk(mu_);
-    win_min_cv_.wait(lk, [&] { return *win_pending_.begin() == self; });
-    return;
-  }
-  WaitAllDoneBelow(ctx.idx);
+  const EventContext& ctx = tls_ctx_;
+  if (ctx.exec != this) return;  // not inside one of this executor's windows
+  // Proceed once the caller is the globally smallest incomplete event —
+  // every event the serial loop would have run first has completed, and
+  // (children sorting after their incomplete parents) none can appear later.
+  std::unique_lock<std::mutex> lk(mu_);
+  win_min_cv_.wait(lk, [&] { return *win_pending_.begin() == ctx.event; });
 }
 
 }  // namespace hotstuff1::sim

@@ -1,70 +1,58 @@
-// Deterministic intra-experiment parallelism: a worker pool that processes
-// all events sharing one virtual timestamp (a "tick") concurrently while
-// reproducing the single-threaded execution byte for byte.
+// Deterministic intra-experiment parallelism: a worker pool that runs the
+// events of one conservative lookahead window concurrently while reproducing
+// the single-threaded execution byte for byte.
 //
 // Model
 //   * Every event carries a ShardId (simulator.h). Replicas are the natural
 //     shards: the network tags each delivery/drain with the destination
 //     node, replica continuations inherit their replica's shard, and the
-//     client pool runs on its own shard.
-//   * Within a tick, events of one shard execute strictly in sequence order
-//     (a per-shard chain); events of different shards run concurrently.
-//   * kShardSerial events are barriers: everything ordered before them
-//     completes first, nothing ordered after starts until they finish.
+//     client pool runs on its own shards.
+//   * The caller guarantees a safe horizon W (Simulator::SetLookahead): no
+//     event ever schedules onto a *different* shard less than W microseconds
+//     after its own timestamp (the classic conservative-PDES bound; the
+//     experiment layer derives W from the network's minimum cross-node
+//     delivery latency). A window is then every queued event in [t, t+W),
+//     stopping before the first kShardSerial barrier.
+//   * One shard's events run strictly in serial order; different shards run
+//     concurrently.
 //   * Callbacks that must touch shared (cross-shard) state call
-//     Simulator::SyncShared(), which blocks until every earlier event of the
-//     tick has completed — so shared-domain accesses happen in exact
-//     sequence order, identical to the serial path.
-//   * Events scheduled during a tick are staged per parent event and
-//     committed after the round in deterministic order: (parent dispatch
-//     order, call order within the parent). That is exactly the order the
-//     serial loop would have assigned sequence numbers in, so the queue
-//     contents — and all downstream behavior — match the serial path.
+//     Simulator::SyncShared(), which blocks until every event the serial loop
+//     would have run before the caller has completed — so shared-domain
+//     accesses happen in exact serial order, even across timestamps.
+//   * Events scheduled inside a window are staged per parent event and
+//     committed after the window in the order the serial loop would have
+//     assigned sequence numbers, so the queue contents — and all downstream
+//     behavior — match the serial path.
+//   * Barriers run alone on the serial loop (Simulator::Step). Runs with an
+//     event cap or a horizon of 1 us or less never reach the executor:
+//     Simulator runs them entirely on that loop, which is exact by
+//     construction (serial cap truncation stops at an exact event, which a
+//     window that already ran later timestamps could not reproduce).
 //
 // Determinism argument (why jobs=1 and jobs=N produce identical bytes):
-//   1. Same-shard events: chained, so their relative order is seq order.
+//   1. Same-shard events run one at a time in serial order.
 //   2. Cross-shard events only interact through (a) per-node state owned by
-//      exactly one shard, (b) SyncShared-gated domains (seq order enforced),
-//      (c) staged scheduling (seq-order commit), or (d) immutable state.
+//      exactly one shard, (b) SyncShared-gated domains (serial order
+//      enforced), (c) staged scheduling (serial-order commit), or (d)
+//      immutable state.
 //   3. Integer counters that multiple shards logically share are kept
 //      per-shard and summed on read (order-independent).
 //   Anything outside (1)-(3) must be scheduled as a kShardSerial barrier.
 //
-// The speedup comes from real ticks being wide: epoch-synchronization timer
-// storms, broadcast deliveries (small messages serialize onto the same
-// arrival tick), and quorum formation — all n replicas verifying signatures
-// or executing a freshly committed batch at the same virtual instant.
-//
-// Lookahead windows (Simulator::SetLookahead(W), W > 1)
-//   When the caller guarantees that no event ever schedules onto a
-//   *different* shard less than W microseconds after its own timestamp (the
-//   classic conservative-PDES safe horizon; the experiment layer derives W
-//   from the network's minimum cross-node delivery latency), the executor
-//   widens a round from one tick to every queued event in [t, t+W):
-//   * Events are totally ordered by a serial-order key that reproduces the
-//     (time, seq) order the serial loop would execute: popped events keep
-//     their queue key; events a shard schedules for itself inside the window
-//     ("inline" events — drain callbacks, short timers) sort after every
-//     event that already existed at their timestamp, in (parent order, call
-//     order) — exactly where the serial loop's fresh sequence numbers would
-//     have put them.
-//   * One shard's events run strictly in key order; different shards run
-//     concurrently; SyncShared blocks until the caller is the globally
-//     smallest incomplete event, so gated domains still see exact serial
-//     order even across timestamps.
-//   * The window stops before the first kShardSerial barrier, and all
-//     cross-window scheduling is committed *after* the window by replaying
-//     the executed events in key order, assigning global sequence numbers in
-//     exactly the order the serial loop would have (inline events burn the
-//     sequence number they would have consumed).
-//   Windows are disabled while an event cap is set: serial cap truncation
-//   stops mid-tick at an exact event, which cannot be reproduced once later
-//   timestamps have already executed — capped runs stay tick-parallel.
+// Serial order inside a window
+//   Events are totally ordered by a key that reproduces the (time, seq)
+//   order the serial loop would execute: popped events keep their queue key;
+//   events a shard schedules for itself inside the window ("inline" events —
+//   drain callbacks, short timers) sort after every event that already
+//   existed at their timestamp, in (parent order, call order) — exactly where
+//   the serial loop's fresh sequence numbers would have put them. The commit
+//   replays the executed events in key order, assigning global sequence
+//   numbers in exactly the order the serial loop would have (inline events
+//   burn the sequence number they would have consumed).
 
 #ifndef HOTSTUFF1_SIM_PARALLEL_EXECUTOR_H_
 #define HOTSTUFF1_SIM_PARALLEL_EXECUTOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -78,12 +66,12 @@
 
 namespace hotstuff1::sim {
 
-/// \brief Tick-parallel executor attached to one Simulator.
+/// \brief Lookahead-window executor attached to one Simulator.
 ///
 /// Ownership: created and owned by Simulator::SetJobs; joins its workers on
 /// destruction. All public methods except the static context helpers are
-/// called by the owning simulator; Stage/SyncShared additionally run on
-/// worker threads while a tick is in flight.
+/// called by the owning simulator; StageIfInWindow/SyncShared additionally
+/// run on worker threads while a window is in flight.
 class ParallelExecutor {
  public:
   /// Spawns `jobs - 1` workers; the driving thread participates too, so the
@@ -96,21 +84,22 @@ class ParallelExecutor {
 
   int jobs() const { return static_cast<int>(threads_.size()) + 1; }
 
-  /// Processes ticks while the next event's time is <= limit, mirroring the
-  /// serial RunUntil/Run loop (including event-cap truncation semantics).
-  /// Does not advance the clock past the last executed event.
+  /// Runs events while the next event's time is <= limit: a barrier on
+  /// Simulator::Step, anything else as the first event of a window. Does not
+  /// advance the clock past the last executed event. Requires a lookahead
+  /// above 1 and no event cap (Simulator::RunUntil checks both).
   void Drain(SimTime limit);
 
-  /// Blocks until all events dispatched before the calling event in the
-  /// current tick have completed. No-op when the calling thread is not
-  /// executing a tick event.
+  /// Blocks until every event ordered before the calling event in the
+  /// current window has completed. No-op when the calling thread is not
+  /// executing a window event.
   void SyncShared();
 
-  /// If the calling thread is executing a tick event of `sim`'s executor,
+  /// If the calling thread is executing a window event of `sim`'s executor,
   /// stages the scheduling request for deterministic commit and returns
   /// true; otherwise returns false and the caller pushes directly.
-  static bool StageIfInTick(Simulator* sim, SimTime t, ShardId shard,
-                            Simulator::Callback* cb);
+  static bool StageIfInWindow(Simulator* sim, SimTime t, ShardId shard,
+                              Simulator::Callback* cb);
 
   /// Shard of the event the calling thread is executing, or kShardSerial.
   static ShardId InheritedShard();
@@ -129,14 +118,6 @@ class ParallelExecutor {
     // Set when the scheduled event ran inside the same window; the replay
     // then only burns the sequence number the serial loop would have used.
     WindowEvent* inline_child = nullptr;
-  };
-  struct TickEvent {
-    uint64_t seq = 0;
-    ShardId shard = kShardSerial;
-    Simulator::Callback cb;
-    int prev_same_shard = -1;  // chain predecessor within the round, or -1
-    int next_same_shard = -1;  // chain successor within the round, or -1
-    std::vector<StagedEvent> staged;
   };
 
   /// Total order reproducing the serial loop's (time, seq) execution order
@@ -162,14 +143,10 @@ class ParallelExecutor {
     }
   };
 
-  /// Moves every queued event with time == t into `out` (sequence order),
-  /// recording per-shard chain predecessors.
-  void PopRound(SimTime t, std::vector<TickEvent>* out);
-  /// Runs the full tick at time t (sub-rounds, zero-delay follow-ons,
-  /// deterministic commit). Returns true when the event cap truncated it.
-  bool RunTickRounds(SimTime t, SimTime limit, std::vector<TickEvent>& round);
+  /// The window event the calling thread is executing, if any.
+  struct EventContext;
+  static thread_local EventContext tls_ctx_;
 
-  // --- lookahead window machinery -------------------------------------------
   /// Pops the serial-order prefix of queued events with time < horizon,
   /// stopping before the first kShardSerial barrier, and derives the inline
   /// ceiling (below which same-shard follow-ons run inside the window).
@@ -193,56 +170,10 @@ class ParallelExecutor {
   /// sequence numbers the serial loop would have and enqueueing every
   /// non-inline staged event; advances the clock and the processed count.
   void CommitWindow();
-  /// Runs one sub-round (a batch of same-timestamp events) with per-shard
-  /// chaining, barrier handling, and completion tracking.
-  void RunRound(std::vector<TickEvent>& round);
-  /// Runs events [begin, end) — all non-barrier — on the pool + this thread.
-  void RunSegment(size_t begin, size_t end);
-  /// Claims indices off next_task_ and dispatches them until the segment is
-  /// exhausted (the per-thread task loop; lock-free steady state).
-  void RunTasks(size_t begin, size_t end);
-  /// Handles one claimed index: runs it (continuing its shard chain), or
-  /// hands it off to the predecessor's runner via the state_ exchange.
-  void RunTask(size_t idx, size_t begin, size_t end);
-  /// Runs `idx` and then its same-shard successors for as long as the
-  /// handoff exchange says their claimers renounced them (chain batching).
-  void RunChainFrom(size_t idx, size_t end);
-  void RunEvent(size_t idx);
-  void WaitAllDoneBelow(size_t idx);
-  /// Advances the done_scan_ prefix cursor; true when all events below idx
-  /// are complete. Caller holds mu_.
-  bool AllDoneBelowLocked(size_t idx);
-  void MarkDone(size_t idx);
-  /// Grows the done_/state_ flag arrays to hold n events.
-  void EnsureFlagCapacity(size_t n);
   void WorkerLoop();
-  /// Serial tail used when a round would cross the event cap: re-queues the
-  /// round and steps one event at a time exactly like the serial path.
-  void SerialCapTail(SimTime limit);
 
   Simulator* sim_;
   std::vector<std::thread> threads_;
-  // Reused across PopRound calls (cleared, keeping its buckets) so the
-  // per-tick hot path does not reallocate.
-  std::unordered_map<ShardId, int> last_of_shard_;
-
-  // Round state (valid while RunRound is active). The steady-state tick path
-  // is lock-free: claims come off next_task_, completion is a done_ flag
-  // store, and chain handoffs go through state_ exchanges; mu_ is only taken
-  // by threads that actually have to wait (SyncShared, barriers, segment
-  // teardown), guarded by the waiters_ Dekker counter.
-  std::vector<TickEvent>* round_ = nullptr;
-  std::atomic<size_t> next_task_{0};
-  size_t segment_begin_ = 0;
-  size_t segment_end_ = 0;
-  uint64_t segment_gen_ = 0;
-  bool segment_active_ = false;
-  std::unique_ptr<std::atomic<uint8_t>[]> done_;   // per-event completion
-  std::unique_ptr<std::atomic<uint8_t>[]> state_;  // per-event handoff state
-  size_t flags_cap_ = 0;
-  size_t done_scan_ = 0;        // prefix cursor: all < done_scan_ complete (mu_)
-  std::atomic<int> waiters_{0};  // threads blocked on done_cv_ (Dekker flag)
-  size_t busy_workers_ = 0;      // workers inside a segment/window loop
 
   // Window state (valid while RunWindow is active). Incomplete events are
   // indexed three ways, all in serial-order keys: globally (SyncShared's
@@ -261,10 +192,11 @@ class ParallelExecutor {
   SimTime win_inline_ceiling_ = 0;  // same-shard staging below runs inline
   bool window_active_ = false;
   uint64_t window_gen_ = 0;
+  size_t busy_workers_ = 0;  // workers inside the window loop
 
   std::mutex mu_;
-  std::condition_variable work_cv_;       // segment/window opened / stop
-  std::condition_variable done_cv_;       // an event completed / workers idle
+  std::condition_variable work_cv_;       // window opened / stop
+  std::condition_variable done_cv_;       // workers idle
   std::condition_variable win_ready_cv_;  // claimable event added / window end
   std::condition_variable win_min_cv_;    // global minimum retired / window end
   bool stop_ = false;

@@ -22,29 +22,30 @@ void Simulator::AtExec(SimTime t, Callback cb) {
 }
 
 void Simulator::AtShardExec(SimTime t, ShardId shard, Callback cb) {
-  // Clamp to the *executing event's* time (== now_ on the serial and tick
-  // paths), so a window event never schedules into its own past.
+  // Clamp to the *executing event's* time (== now_ on the serial loop), so a
+  // window event never schedules into its own past.
   const SimTime now = Now();
   if (t < now) t = now;
-  // During a parallel tick or window, scheduling requests are staged per
-  // parent event and committed in deterministic order after the round.
-  if (ParallelExecutor::StageIfInTick(this, t, shard, &cb)) return;
+  // During a window, scheduling requests are staged per parent event and
+  // committed in deterministic order after the window.
+  if (ParallelExecutor::StageIfInWindow(this, t, shard, &cb)) return;
   PushEvent(t, shard, std::move(cb));
 }
 
 void Simulator::SetLookahead(SimTime window) {
   if (window < 0) window = 0;
-  // Cap so `tick + window` can never overflow the virtual clock.
+  // Cap so `t + window` can never overflow the virtual clock.
   constexpr SimTime kMaxLookahead = 3600 * kSecond;
   if (window > kMaxLookahead) window = kMaxLookahead;
   lookahead_ = window;
 }
 
 void Simulator::SetJobs(int jobs) {
-  // Clamp to the widest useful pool: rounds are at most one event per shard
-  // (<= ReplicaSet::kCapacity replicas + clients — the committee-size ceiling
-  // every quorum structure shares), so more workers can never help, and
-  // absurd values must not reach std::thread's constructor (which throws).
+  // Clamp to the widest useful pool: a window runs at most one event per
+  // shard at a time (<= ReplicaSet::kCapacity replicas + clients — the
+  // committee-size ceiling every quorum structure shares), so more workers
+  // can never help, and absurd values must not reach std::thread's
+  // constructor (which throws).
   constexpr int kMaxJobs = static_cast<int>(ReplicaSet::kCapacity);
   if (jobs > kMaxJobs) jobs = kMaxJobs;
   if (jobs <= 1) {
@@ -56,6 +57,11 @@ void Simulator::SetJobs(int jobs) {
 }
 
 int Simulator::jobs() const { return exec_ ? exec_->jobs() : 1; }
+
+void Simulator::SetParallelism(int jobs, SimTime window) {
+  SetLookahead(window);
+  SetJobs(WindowsAllowed() ? jobs : 1);
+}
 
 void Simulator::SyncShared() {
   if (exec_) exec_->SyncShared();
@@ -81,23 +87,18 @@ bool Simulator::Step() {
 }
 
 void Simulator::RunUntil(SimTime t) {
-  if (exec_) {
+  if (Windowed()) {
     exec_->Drain(t);
   } else {
     EventHandle h;
-    while (queue_.Peek(&h) && h.time <= t) {
-      if (events_processed_ >= event_cap_) {
-        cap_hit_ = true;
-        break;
-      }
-      Step();
+    while (queue_.Peek(&h) && h.time <= t && Step()) {
     }
   }
   if (now_ < t) now_ = t;
 }
 
 void Simulator::Run() {
-  if (exec_) {
+  if (Windowed()) {
     exec_->Drain(std::numeric_limits<SimTime>::max());
     return;
   }

@@ -2,15 +2,16 @@
 // by (virtual time, insertion sequence), so a run is a pure function of
 // (configuration, seed) — at ANY worker count.
 //
-// Single-threaded by default; SetJobs(N>1) attaches a ParallelExecutor that
-// processes same-timestamp events concurrently while preserving exactly the
-// sequential semantics (see parallel_executor.h for the determinism
-// contract and docs/ARCHITECTURE.md for the sharding model).
-// SetLookahead(W>1) additionally lets the executor run events whose
-// timestamps fall within a conservative safe horizon of W microseconds
-// concurrently — callers must guarantee that no event ever schedules onto a
-// *different* shard less than W ahead of its own timestamp (the experiment
-// layer derives W from the network's minimum cross-node delivery latency).
+// Single-threaded by default. SetJobs(N>1) attaches a ParallelExecutor and
+// SetLookahead(W>1) sets its conservative safe horizon: the executor then
+// runs the events of each window [t, t+W) concurrently while preserving
+// exactly the sequential semantics (see parallel_executor.h for the
+// determinism contract and docs/ARCHITECTURE.md for the sharding model).
+// Callers must guarantee that no event ever schedules onto a *different*
+// shard less than W ahead of its own timestamp (the experiment layer derives
+// W from the network's minimum cross-node delivery latency). Without a
+// window above 1 us, or with an event cap, every event runs on the serial
+// loop even when an executor is attached.
 //
 // Hot-path storage: pending events live as flat records in an EventArena
 // and are ordered by a calendar queue (event_queue.h); callbacks are
@@ -36,7 +37,7 @@ class ParallelExecutor;
 ///
 /// Ownership/threading: one Simulator per Experiment; not copyable. All
 /// public methods are called from the thread driving the simulation (or, for
-/// At/AtShard/SyncShared, from executor workers while a parallel tick is in
+/// At/AtShard/SyncShared, from executor workers while a window is in
 /// flight — the executor makes those paths safe). Distinct Simulator
 /// instances are fully independent: the sweep runner exploits this to run
 /// experiments embarrassingly parallel across threads.
@@ -106,24 +107,31 @@ class Simulator {
   int jobs() const;
 
   /// Sets the conservative lookahead window, in microseconds of virtual
-  /// time. 0 or 1 (the default) keeps the executor tick-parallel; W > 1 lets
-  /// it run events within [t, t+W) concurrently. Contract: after this call,
-  /// no event may schedule onto a different shard less than W after its own
-  /// timestamp (checked at runtime). Byte-identical output at any value.
-  /// Ignored without an executor; also ignored while an event cap is set,
-  /// because exact serial-equivalent cap truncation cannot be guaranteed
-  /// once events from several timestamps are in flight at once.
+  /// time. W > 1 lets an attached executor run events within [t, t+W)
+  /// concurrently; 0 or 1 (the default) runs every event on the serial loop.
+  /// Contract: after this call, no event may schedule onto a different shard
+  /// less than W after its own timestamp (checked at runtime).
+  /// Byte-identical output at any value. Ignored without an executor; also
+  /// ignored while an event cap is set, because exact cap truncation needs
+  /// the serial loop's one-event-at-a-time order.
   void SetLookahead(SimTime window);
   SimTime lookahead() const { return lookahead_; }
 
-  /// Serial-domain gate: when called from a callback during a parallel tick,
+  /// SetLookahead(window), then an executor of `jobs` workers only where
+  /// Run/RunUntil would hand it windows (jobs > 1, window > 1 us, no event
+  /// cap; set the cap first). Otherwise no executor exists and the run takes
+  /// exactly the serial path of jobs = 1.
+  void SetParallelism(int jobs, SimTime window);
+
+  /// Serial-domain gate: when called from a callback during a window,
   /// blocks until every event ordered before the caller has completed, so
   /// accesses to shared (non-sharded) state happen in exact sequence order.
-  /// No-op on the single-threaded path. Components guarding shared mutable
-  /// state (e.g. the client pool) call this at every entry point.
+  /// No-op on the serial loop. Components guarding shared mutable state
+  /// (e.g. the client pool) call this at every entry point.
   void SyncShared();
 
-  /// Executes the next event. Returns false if the queue is empty. Always
+  /// Executes the next event (a barrier, or any event of a serial run).
+  /// Returns false if the queue is empty or the event cap is reached. Always
   /// single-threaded, even when an executor is attached.
   bool Step();
 
@@ -147,7 +155,7 @@ class Simulator {
  private:
   friend class ParallelExecutor;
 
-  /// A popped event, fully owned (executor hand-off shape; the serial loop
+  /// A popped event, fully owned (window hand-off shape; the serial loop
   /// never materializes one — it runs callbacks in the arena slot).
   struct Event {
     SimTime time;
@@ -159,8 +167,15 @@ class Simulator {
   /// Slow path of Now(): consults the executor's thread-local event context.
   SimTime NowInExecutor() const;
 
+  /// The one rule for when windows run: a window above 1 us and no event
+  /// cap (exact cap truncation needs the serial loop's one-at-a-time order).
+  bool WindowsAllowed() const { return lookahead_ > 1 && event_cap_ == UINT64_MAX; }
+
+  /// True when Run/RunUntil hand the queue to the executor's windows.
+  bool Windowed() const { return exec_ != nullptr && WindowsAllowed(); }
+
   /// Executor-mode scheduling: shard inheritance, per-event time clamp, and
-  /// staging during parallel ticks/windows.
+  /// staging during windows.
   void AtExec(SimTime t, Callback cb);
   void AtShardExec(SimTime t, ShardId shard, Callback cb);
 
@@ -170,12 +185,7 @@ class Simulator {
   void PushEvent(SimTime t, ShardId shard, Callback&& cb) {
     queue_.Push(t, next_seq_++, arena_.Alloc(shard, std::move(cb)));
   }
-  /// Re-inserts an event that was popped but not executed (cap fallback).
-  /// Keeps the original sequence number.
-  void RepushEvent(Event ev) {
-    queue_.Push(ev.time, ev.seq, arena_.Alloc(ev.shard, std::move(ev.cb)));
-  }
-  /// Pops the front event out of the queue + arena (executor paths).
+  /// Pops the front event out of the queue + arena (window path).
   Event PopEvent() {
     const EventHandle h = queue_.Pop();
     EventRecord& rec = arena_.Get(h.idx);

@@ -42,8 +42,8 @@ Cases CasesFor(const Knob& k) {
           "0:outage=0-9000000000"}};
   } else if (k.name == "reconfig") {
     c = {{"0:0-15;4:0-11", "0:0-3+8-19"}, {"0:0-2", "4:0-7", "0:0-7;0:0-7", "0:+0-7"}};
-  } else if (s == "auto|off|<us>") {
-    c = {{"auto", "off", "250"}, {"fast", "99999999999999999999"}};
+  } else if (s == "auto|<us>") {
+    c = {{"auto", "250"}, {"fast", "99999999999999999999", "off", "0"}};
   } else if (s == "<name>") {
     c = {{"fig8_scalability"}, {""}};
   } else if (s.empty()) {
@@ -82,7 +82,7 @@ TEST(KnobTableTest, EveryKnobRoundTripsAndRejectsBadValues) {
     SCOPED_TRACE("--" + k.name);
     EXPECT_EQ(++seen[k.name], 1) << "declared twice";
     ASSERT_NE(k.set == nullptr, k.set_run == nullptr) << "exactly one root";
-    ASSERT_EQ(k.scope == KnobScope::kRun, k.set == nullptr);
+    ASSERT_EQ(IsRunScope(k.scope), k.set == nullptr);
     const Cases cases = CasesFor(k);
     ASSERT_FALSE(cases.legal.empty());
     for (const std::string& v : cases.legal) {

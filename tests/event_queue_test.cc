@@ -4,7 +4,7 @@
 // --jobs/--lookahead) all stand on this. The randomized driver interleaves
 // >1e6 operations against a reference heap under the simulator's real usage
 // contract (no-past-push, globally ascending seqs); targeted tests pin the
-// far/near window edges and the cap-fallback repush path.
+// far/near window edges and a capped run under an attached executor.
 
 #include <gtest/gtest.h>
 
@@ -170,26 +170,6 @@ TEST(EventQueueTest, TailBucketWrappingIntoStartWordIsFound) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueTest, RepushRefillsDrainedTickInPopOrder) {
-  EventQueue q;
-  for (uint64_t seq = 0; seq < 6; ++seq) q.Push(100, seq, 10 + seq);
-  q.Push(105, 6, 16);
-  // The executor pops a whole tick, hits the event cap after 2, and repushes
-  // the tail with its *original* seqs in pop order.
-  std::vector<EventHandle> tick;
-  for (int i = 0; i < 6; ++i) tick.push_back(q.Pop());
-  for (size_t i = 2; i < tick.size(); ++i) {
-    q.Push(tick[i].time, tick[i].seq, tick[i].idx);
-  }
-  for (uint64_t seq = 2; seq < 6; ++seq) {
-    const EventHandle h = q.Pop();
-    EXPECT_EQ(h.time, 100);
-    EXPECT_EQ(h.seq, seq);
-  }
-  EXPECT_EQ(q.Pop().time, 105);
-  EXPECT_TRUE(q.empty());
-}
-
 // --- Simulator-level order pinning -----------------------------------------
 
 TEST(EventQueueSimTest, SerialOrderPinsTimeThenInsertion) {
@@ -231,10 +211,11 @@ TEST(EventQueueSimTest, NestedSchedulingKeepsAscendingOrder) {
 }
 
 TEST(EventQueueSimTest, CapFallbackRepushKeepsOrderUnderExecutor) {
-  // The parallel executor pops whole rounds; a mid-round cap repushes the
-  // unexecuted tail. The resumed run must produce exactly the serial result.
-  // Recording is per shard: same-tick events on distinct shards legitimately
-  // run concurrently, but each shard's own sequence is fully ordered.
+  // A capped run with an executor attached takes the serial loop, so it
+  // stops on exactly the serial prefix; lifting the cap resumes the rest in
+  // lookahead windows and must produce exactly the serial result. Recording
+  // is per shard: events on distinct shards legitimately run concurrently
+  // in a window, but each shard's own sequence is fully ordered.
   using PerShard = std::array<std::vector<int>, 4>;
   PerShard serial;
   {
@@ -250,6 +231,7 @@ TEST(EventQueueSimTest, CapFallbackRepushKeepsOrderUnderExecutor) {
     sim.AtShard(7, i % 4, [&capped, i] { capped[i % 4].push_back(i); });
   }
   sim.SetJobs(3);
+  sim.SetLookahead(100);
   sim.SetEventCap(13);
   sim.Run();
   EXPECT_TRUE(sim.cap_hit());

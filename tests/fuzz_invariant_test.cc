@@ -126,21 +126,10 @@ TEST(OracleMutation, ViolationDiagnosticsAreExecutorInvariant) {
   ExperimentConfig cfg = MutationConfig();
   cfg.test_break_safety = true;
   cfg.sim_jobs = 1;
-  cfg.lookahead = {LookaheadMode::kOff, 0};
   const ExperimentResult serial = RunExperiment(cfg);
   ASSERT_GT(serial.oracle_violations, 0u);
 
-  for (uint32_t sim_jobs : {1u, 4u}) {
-    for (LookaheadMode mode : {LookaheadMode::kOff, LookaheadMode::kAuto}) {
-      if (sim_jobs == 1 && mode == LookaheadMode::kOff) continue;  // baseline
-      cfg.sim_jobs = sim_jobs;
-      cfg.lookahead = {mode, 0};
-      SCOPED_TRACE(::testing::Message() << "sim_jobs=" << sim_jobs
-                                        << " lookahead="
-                                        << FormatLookahead(cfg.lookahead));
-      ExpectSameResult(RunExperiment(cfg), serial);
-    }
-  }
+  ExpectWindowedRunsMatchSerial(cfg, serial);
 }
 
 // Enabling the oracle must be a pure observation: every deterministic result

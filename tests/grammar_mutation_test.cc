@@ -168,7 +168,7 @@ TEST(GrammarMutationTest, CommitteeSchedules) {
 
 TEST(GrammarMutationTest, LookaheadWindows) {
   Grammar g;
-  g.valid = {"auto", "off", "250", "1"};
+  g.valid = {"auto", "250", "1"};
   g.alphabet = "autoff+- ";
   g.rejection_names_a_reason = false;  // ParseLookahead reports no message
   g.check = [](const std::string& text, std::string*, std::string* formatted,

@@ -341,22 +341,11 @@ ExperimentConfig StallStrategyConfig() {
 TEST(LivenessDeterminism, ViolatingStrategyRunIsExecutorInvariant) {
   ExperimentConfig cfg = StallStrategyConfig();
   cfg.sim_jobs = 1;
-  cfg.lookahead = {LookaheadMode::kOff, 0};
   const ExperimentResult serial = RunExperiment(cfg);
   ASSERT_GT(serial.liveness_violations, 0u);
   ASSERT_EQ(serial.oracle_violations, 0u);
 
-  for (uint32_t sim_jobs : {1u, 4u}) {
-    for (LookaheadMode mode : {LookaheadMode::kOff, LookaheadMode::kAuto}) {
-      if (sim_jobs == 1 && mode == LookaheadMode::kOff) continue;  // baseline
-      cfg.sim_jobs = sim_jobs;
-      cfg.lookahead = {mode, 0};
-      SCOPED_TRACE(::testing::Message() << "sim_jobs=" << sim_jobs
-                                        << " lookahead="
-                                        << FormatLookahead(cfg.lookahead));
-      ExpectSameResult(RunExperiment(cfg), serial);
-    }
-  }
+  ExpectWindowedRunsMatchSerial(cfg, serial);
 }
 
 // Arming the oracles must not change the run: the GST barrier event is

@@ -1,7 +1,8 @@
 // Lookahead-horizon tests: the safe window the experiment layer derives for
 // the parallel executor (Network::MinDeliveryLatency + the client response
-// hop), its degenerate cases, and the proof that a window actually lets
-// events of different timestamps run concurrently.
+// hop), its degenerate cases, the explicit window as an upper bound, and the
+// proof that a window actually lets events of different timestamps run
+// concurrently.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
+#include "tests/result_equality.h"
 
 namespace hotstuff1 {
 namespace {
@@ -114,44 +116,73 @@ TEST(HorizonTest, ClientResponseHopBoundsTheWindow) {
   EXPECT_EQ(exp.simulator().lookahead(), Millis(0.4));
 }
 
-TEST(HorizonTest, ZeroDelayLinkDegeneratesToTickParallel) {
+// A zero-delay link leaves no safe horizon: the run gets no executor and
+// takes exactly the serial path.
+TEST(HorizonTest, ZeroDelayLinkRunsSerially) {
   ExperimentConfig cfg = TinyConfig();
   cfg.sim_jobs = 4;
   cfg.topology = Topology::Lan(cfg.n, /*one_way=*/0);
   Experiment exp(cfg);
   exp.Setup();
+  EXPECT_EQ(exp.simulator().jobs(), 1);
   EXPECT_EQ(exp.simulator().lookahead(), 0);
 }
 
-TEST(HorizonTest, ExplicitAndOffModes) {
+// An explicit window is an upper bound on the derived horizon: narrower
+// windows are taken as given, wider ones are capped to it.
+TEST(HorizonTest, ExplicitWindowCapsHorizon) {
   ExperimentConfig cfg = TinyConfig();
   cfg.sim_jobs = 4;
   cfg.lookahead = {LookaheadMode::kWindow, 1234};
   {
     Experiment exp(cfg);
     exp.Setup();
-    EXPECT_EQ(exp.simulator().lookahead(), 1234);
+    EXPECT_EQ(exp.simulator().lookahead(), Millis(0.4));  // the LAN horizon
   }
-  cfg.lookahead = {LookaheadMode::kOff, 0};
+  cfg.lookahead = {LookaheadMode::kWindow, 100};
   {
     Experiment exp(cfg);
     exp.Setup();
-    EXPECT_EQ(exp.simulator().lookahead(), 0);
+    EXPECT_EQ(exp.simulator().lookahead(), 100);
   }
+  // A window of 1 us leaves nothing to overlap: serial path, no executor.
+  cfg.lookahead = {LookaheadMode::kWindow, 1};
+  {
+    Experiment exp(cfg);
+    exp.Setup();
+    EXPECT_EQ(exp.simulator().jobs(), 1);
+  }
+}
+
+// A window wider than the safe horizon is capped to it, so the run matches
+// the serial loop instead of aborting on the first cross-shard event that
+// lands inside the window.
+TEST(HorizonTest, WindowWiderThanHorizonMatchesSerial) {
+  ExperimentConfig cfg;
+  cfg.n = 4;
+  cfg.duration = Millis(50);
+  cfg.warmup = Millis(10);
+  cfg.delta = Millis(1);
+  const ExperimentResult serial = RunExperiment(cfg);
+  cfg.sim_jobs = 4;
+  cfg.lookahead = {LookaheadMode::kWindow, 5000};
+  Experiment exp(cfg);
+  ExpectSameResult(exp.Run(), serial);
+  EXPECT_EQ(exp.simulator().jobs(), 4);
+  EXPECT_EQ(exp.simulator().lookahead(), Millis(0.4));
 }
 
 TEST(HorizonTest, ParseLookaheadRoundTrips) {
   LookaheadSpec spec;
   EXPECT_TRUE(ParseLookahead("auto", &spec));
   EXPECT_EQ(spec.mode, LookaheadMode::kAuto);
-  EXPECT_TRUE(ParseLookahead("off", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kOff);
-  EXPECT_TRUE(ParseLookahead("0", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kOff);
   EXPECT_TRUE(ParseLookahead("250", &spec));
   EXPECT_EQ(spec.mode, LookaheadMode::kWindow);
   EXPECT_EQ(spec.window, 250);
   EXPECT_EQ(FormatLookahead(spec), "250");
+  // --sim-jobs=1 is the one way to run serially.
+  EXPECT_FALSE(ParseLookahead("off", &spec));
+  EXPECT_FALSE(ParseLookahead("0", &spec));
   EXPECT_FALSE(ParseLookahead("", &spec));
   EXPECT_FALSE(ParseLookahead("fast", &spec));
   EXPECT_FALSE(ParseLookahead("-3", &spec));
@@ -167,8 +198,8 @@ TEST(HorizonTest, ParseLookaheadRoundTrips) {
 // Runs `kEvents` events at distinct consecutive timestamps (one per shard)
 // and reports the peak number simultaneously in flight. Each event waits
 // briefly for the others, so overlap is observed whenever the executor
-// allows it: tick-parallel execution can never overlap distinct timestamps;
-// a lookahead window covering all of them must.
+// allows it: the serial loop can never overlap distinct timestamps; a
+// lookahead window covering all of them must.
 int PeakCrossTimestampOverlap(Simulator& sim, int events, int wait_ms = 5000) {
   std::mutex mu;
   std::condition_variable cv;
@@ -205,8 +236,8 @@ TEST(LookaheadWindowTest, OverlapsEventsAcrossTimestamps) {
   EXPECT_EQ(sim.Now(), 12);
 }
 
-// A finite event cap pins the executor to the tick path (exact serial
-// truncation), so distinct timestamps never overlap. The first event's
+// A finite event cap sends the run to the serial loop (exact serial
+// truncation), so distinct timestamps never overlap. Each event's
 // rendezvous times out — keep the count small so the test stays fast.
 TEST(LookaheadWindowTest, EventCapDisablesWindows) {
   Simulator sim;
@@ -214,7 +245,7 @@ TEST(LookaheadWindowTest, EventCapDisablesWindows) {
   sim.SetLookahead(100);
   sim.SetEventCap(1000);
   EXPECT_EQ(PeakCrossTimestampOverlap(sim, 2, /*wait_ms=*/200), 1)
-      << "capped runs must stay tick-parallel";
+      << "capped runs must run serially";
   EXPECT_EQ(sim.EventsProcessed(), 2u);
 }
 
@@ -240,50 +271,6 @@ TEST(EventCapVisibilityTest, TablesWarnWhenAPointHitsTheCap) {
   std::ostringstream os;
   EmitTables(outcome, os);
   EXPECT_NE(os.str().find("hit the simulator event cap"), std::string::npos)
-      << os.str();
-}
-
-// A cap under --sim-jobs > 1 silently pinned the executor to tick-parallel
-// scheduling before the cap_parallelism_degraded diagnostic existed; now the
-// fallback must be reported on the result and in the tables.
-TEST(EventCapVisibilityTest, CappedParallelRunReportsDegradedParallelism) {
-  ExperimentConfig cfg = TinyConfig();
-  cfg.event_cap = 200;
-  cfg.sim_jobs = 4;  // auto lookahead resolves to a real window on the LAN
-  EXPECT_TRUE(RunExperiment(cfg).cap_parallelism_degraded);
-
-  cfg.sim_jobs = 1;  // a serial run has no parallelism to lose
-  EXPECT_FALSE(RunExperiment(cfg).cap_parallelism_degraded);
-
-  cfg.sim_jobs = 4;
-  cfg.event_cap = 0;  // no cap, no fallback
-  EXPECT_FALSE(RunExperiment(cfg).cap_parallelism_degraded);
-
-  cfg.event_cap = 200;
-  cfg.lookahead = {LookaheadMode::kOff, 0};  // nothing to degrade
-  EXPECT_FALSE(RunExperiment(cfg).cap_parallelism_degraded);
-}
-
-TEST(EventCapVisibilityTest, TablesNoteDegradedParallelism) {
-  ScenarioSpec spec;
-  spec.name = "cap_degrade_probe";
-  spec.title = "cap degrade probe";
-  spec.row_name = "x";
-  spec.base = TinyConfig();
-  spec.base.event_cap = 200;
-  spec.base.sim_jobs = 4;
-  spec.rows.push_back({"only", nullptr});
-  spec.metrics = {ThroughputMetric()};
-  spec.mode = RunMode::kSingle;
-
-  SweepRunner runner(1);
-  const SweepOutcome outcome = runner.Run(spec);
-  ASSERT_EQ(outcome.results.size(), 1u);
-  EXPECT_TRUE(outcome.results[0].cap_parallelism_degraded);
-  EXPECT_TRUE(outcome.AnyCapDegraded());
-  std::ostringstream os;
-  EmitTables(outcome, os);
-  EXPECT_NE(os.str().find("cap_parallelism_degraded"), std::string::npos)
       << os.str();
 }
 

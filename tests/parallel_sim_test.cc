@@ -1,7 +1,8 @@
 // Deterministic intra-experiment parallelism tests: the parallel executor
 // must reproduce the single-threaded event loop byte for byte at any
-// --sim-jobs count — shard chaining, barriers, the SyncShared gate, staged
-// scheduling, cap truncation, and full experiments / scenario sweeps.
+// --sim-jobs count and lookahead window — per-shard order, barriers, the
+// SyncShared gate, staged scheduling, cap truncation, and full experiments /
+// scenario sweeps.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,8 @@ using sim::Simulator;
 
 // A scripted workload over raw simulator events: every event appends to its
 // shard's own log and re-schedules follow-ups (self-shard via inheritance,
-// cross-shard explicitly). Returns the per-shard logs plus final clock.
+// cross-shard explicitly, never closer than the window). Returns the
+// per-shard logs plus final clock.
 struct ScriptOutcome {
   std::vector<std::vector<int>> logs;
   SimTime now = 0;
@@ -37,18 +39,20 @@ struct ScriptOutcome {
 
 ScriptOutcome RunScript(int jobs) {
   constexpr int kShards = 4;
+  constexpr SimTime kWindow = 10;  // every cross-shard hop below is >= this
   Simulator sim;
   sim.SetJobs(jobs);
+  sim.SetLookahead(kWindow);
   ScriptOutcome out;
   out.logs.resize(kShards);
 
   for (ShardId s = 0; s < kShards; ++s) {
-    // Three generations of same-timestamp events per shard; each generation
-    // schedules the next via plain At (inheriting the shard) plus a
-    // cross-shard message to the next shard.
+    // Three generations of events per shard; each generation schedules the
+    // next via plain At (inheriting the shard) plus a cross-shard message to
+    // the next shard, one full window later.
     sim.AtShard(10, s, [&, s] {
       out.logs[s].push_back(1);
-      sim.After(0, [&, s] { out.logs[s].push_back(2); });  // same tick, inherited
+      sim.After(0, [&, s] { out.logs[s].push_back(2); });  // same time, inherited
       sim.AtShard(20, (s + 1) % kShards, [&, s] {
         out.logs[(s + 1) % kShards].push_back(100 + static_cast<int>(s));
       });
@@ -58,7 +62,7 @@ ScriptOutcome RunScript(int jobs) {
   sim.At(15, [&] {
     int total = 0;
     for (const auto& log : out.logs) total += static_cast<int>(log.size());
-    EXPECT_EQ(total, 2 * kShards);  // all tick-10 work is complete
+    EXPECT_EQ(total, 2 * kShards);  // all t=10 work is complete
   });
   sim.Run();
   out.now = sim.Now();
@@ -74,12 +78,13 @@ TEST(ParallelExecutorTest, ScriptedShardsMatchSerial) {
   }
 }
 
-// SyncShared orders same-tick accesses to a shared domain in sequence
+// SyncShared orders one window's accesses to a shared domain in sequence
 // order, so a shared log is deterministic even across shards.
 TEST(ParallelExecutorTest, SyncSharedOrdersSharedDomain) {
   auto run = [](int jobs) {
     Simulator sim;
     sim.SetJobs(jobs);
+    sim.SetLookahead(100);
     std::vector<int> shared;
     for (ShardId s = 0; s < 8; ++s) {
       sim.AtShard(5, s, [&, s] {
@@ -153,7 +158,7 @@ WindowScriptOutcome RunWindowScript(int jobs, SimTime window) {
 }
 
 TEST(ParallelExecutorTest, WindowScriptMatchesSerialAtAnyWindow) {
-  for (SimTime window : {SimTime{0}, SimTime{2}, SimTime{6}, SimTime{50}}) {
+  for (SimTime window : {SimTime{2}, SimTime{6}, SimTime{50}}) {
     const WindowScriptOutcome serial = RunWindowScript(1, window);
     ASSERT_EQ(serial.shared.size(), 5u);  // 4 shard entries + the barrier
     for (int jobs : {2, 4, 8}) {
@@ -163,10 +168,13 @@ TEST(ParallelExecutorTest, WindowScriptMatchesSerialAtAnyWindow) {
   }
 }
 
+// A capped run on an attached executor takes the serial loop, so it stops
+// on exactly the serial prefix, even with a window configured.
 TEST(ParallelExecutorTest, EventCapTruncatesIdentically) {
   auto run = [](int jobs) {
     Simulator sim;
     sim.SetJobs(jobs);
+    sim.SetLookahead(100);
     sim.SetEventCap(10);
     uint64_t ran = 0;
     for (ShardId s = 0; s < 4; ++s) {
@@ -195,13 +203,15 @@ ExperimentConfig SmallConfig(ProtocolKind kind) {
   return cfg;
 }
 
+// Every protocol core at two worker counts, under a narrow explicit window
+// (100 us, a quarter of the LAN horizon: many short windows per view).
 TEST(ParallelExperimentTest, ByteIdenticalAcrossSimJobs) {
   for (ProtocolKind kind : {ProtocolKind::kHotStuff, ProtocolKind::kHotStuff1,
                             ProtocolKind::kHotStuff1Slotted}) {
     ExperimentConfig cfg = SmallConfig(kind);
-    cfg.lookahead = {LookaheadMode::kOff, 0};
     const ExperimentResult serial = RunExperiment(cfg);
     EXPECT_TRUE(serial.safety_ok);
+    cfg.lookahead = {LookaheadMode::kWindow, 100};
     for (uint32_t jobs : {4u, 8u}) {
       cfg.sim_jobs = jobs;
       ExpectSameResult(RunExperiment(cfg), serial);
@@ -210,12 +220,12 @@ TEST(ParallelExperimentTest, ByteIdenticalAcrossSimJobs) {
 }
 
 // The lookahead acceptance gate at the experiment level: every deterministic
-// field agrees between the serial loop, the tick-parallel executor, and the
-// lookahead window (auto and explicit), at several worker counts.
+// field agrees between the serial loop and the derived window at several
+// worker counts, and under a 2 us window, the narrowest above the serial
+// cutoff (100 us windows are ByteIdenticalAcrossSimJobs's).
 TEST(ParallelExperimentTest, ByteIdenticalAcrossLookahead) {
   for (ProtocolKind kind : {ProtocolKind::kHotStuff, ProtocolKind::kHotStuff1}) {
     ExperimentConfig cfg = SmallConfig(kind);
-    cfg.lookahead = {LookaheadMode::kOff, 0};
     const ExperimentResult serial = RunExperiment(cfg);
     EXPECT_TRUE(serial.safety_ok);
     struct Variant {
@@ -225,8 +235,7 @@ TEST(ParallelExperimentTest, ByteIdenticalAcrossLookahead) {
     for (const Variant v :
          {Variant{4, {LookaheadMode::kAuto, 0}},
           Variant{8, {LookaheadMode::kAuto, 0}},
-          Variant{4, {LookaheadMode::kWindow, 100}},
-          Variant{8, {LookaheadMode::kOff, 0}}}) {
+          Variant{8, {LookaheadMode::kWindow, 2}}}) {
       cfg.sim_jobs = v.sim_jobs;
       cfg.lookahead = v.lookahead;
       ExpectSameResult(RunExperiment(cfg), serial);
@@ -241,9 +250,9 @@ TEST(ParallelExperimentTest, ByteIdenticalUnderFaultsAndGeo) {
   cfg.topology = sim::Topology::Geo(cfg.n, 3);
   cfg.view_timer = Millis(1200);
   cfg.delta = Millis(160);
-  cfg.lookahead = {LookaheadMode::kOff, 0};
   const ExperimentResult serial = RunExperiment(cfg);
   cfg.sim_jobs = 8;
+  cfg.lookahead = {LookaheadMode::kWindow, 100};
   ExpectSameResult(RunExperiment(cfg), serial);
   // Geo windows are wide (min cross-region hop); the adversary must still
   // be invisible in them.
@@ -251,17 +260,19 @@ TEST(ParallelExperimentTest, ByteIdenticalUnderFaultsAndGeo) {
   ExpectSameResult(RunExperiment(cfg), serial);
 }
 
-// Capped runs stay deterministic too: lookahead degrades to tick-parallel
-// so truncation lands on exactly the serial event.
+// Capped runs stay deterministic too: a capped point never attaches the
+// executor, whatever --sim-jobs says, so truncation lands on exactly the
+// serial event.
 TEST(ParallelExperimentTest, ByteIdenticalUnderEventCapWithLookahead) {
   ExperimentConfig cfg = SmallConfig(ProtocolKind::kHotStuff1);
   cfg.event_cap = 30000;
-  cfg.lookahead = {LookaheadMode::kOff, 0};
   const ExperimentResult serial = RunExperiment(cfg);
   EXPECT_TRUE(serial.event_cap_hit);
   cfg.sim_jobs = 8;
   cfg.lookahead = {LookaheadMode::kAuto, 0};
-  ExpectSameResult(RunExperiment(cfg), serial);
+  Experiment exp(cfg);
+  ExpectSameResult(exp.Run(), serial);
+  EXPECT_EQ(exp.simulator().jobs(), 1);
 }
 
 // The acceptance gate: the fig8_scalability sweep's machine-readable output
@@ -278,11 +289,11 @@ TEST(ParallelExperimentTest, Fig8ScalabilityCsvByteIdentical) {
     EmitCsv(outcome, os);
     return os.str();
   };
-  const std::string baseline = run_csv(/*jobs=*/1, /*sim_jobs=*/1, "off");
+  const std::string baseline = run_csv(/*jobs=*/1, /*sim_jobs=*/1, "auto");
   EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/1, "off"), baseline);
-  EXPECT_EQ(run_csv(/*jobs=*/1, /*sim_jobs=*/8, "off"), baseline);
-  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/4, "off"), baseline);
+  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/1, "auto"), baseline);
+  EXPECT_EQ(run_csv(/*jobs=*/1, /*sim_jobs=*/8, "100"), baseline);
+  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/4, "100"), baseline);
   EXPECT_EQ(run_csv(/*jobs=*/1, /*sim_jobs=*/4, "auto"), baseline);
   EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/8, "auto"), baseline);
   EXPECT_EQ(run_csv(/*jobs=*/1, /*sim_jobs=*/8, "400"), baseline);
@@ -305,39 +316,13 @@ TEST(ParallelExperimentTest, FigSaturationCsvByteIdentical) {
     EmitCsv(outcome, os);
     return os.str();
   };
-  const std::string baseline = run_csv(/*jobs=*/1, /*sim_jobs=*/1, "off");
+  const std::string baseline = run_csv(/*jobs=*/1, /*sim_jobs=*/1, "auto");
   EXPECT_FALSE(baseline.empty());
   // The smoke grid keeps the endpoint arrival processes; both must be there.
   EXPECT_NE(baseline.find("poisson"), std::string::npos);
-  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/4, "off"), baseline);
+  EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/4, "100"), baseline);
   EXPECT_EQ(run_csv(/*jobs=*/1, /*sim_jobs=*/4, "auto"), baseline);
   EXPECT_EQ(run_csv(/*jobs=*/2, /*sim_jobs=*/8, "auto"), baseline);
-}
-
-// par_speedup sweeps sim_jobs and lookahead itself: its machine-readable
-// output must be byte-identical across repeated runs (wall_ms is table-only)
-// and across CLI overrides (which the axis-respect rule ignores).
-TEST(ParallelExperimentTest, ParSpeedupCsvByteIdentical) {
-  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("par_speedup");
-  ASSERT_NE(spec, nullptr);
-
-  auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
-    SweepRunner runner(jobs, {{"sim-jobs", std::to_string(sim_jobs)},
-                              {"lookahead", lookahead}});
-    const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
-    std::ostringstream os;
-    EmitCsv(outcome, os);
-    return os.str();
-  };
-  const std::string baseline = run_csv(1, 1, "off");
-  EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(baseline.find("wall_ms"), std::string::npos)
-      << "wall_ms must not reach the machine-readable output";
-  // Repeated run: wall-clock noise must not leak into the bytes.
-  EXPECT_EQ(run_csv(1, 1, "off"), baseline);
-  EXPECT_EQ(run_csv(2, 4, "off"), baseline);
-  EXPECT_EQ(run_csv(1, 8, "auto"), baseline);
-  EXPECT_EQ(run_csv(2, 1, "auto"), baseline);
 }
 
 }  // namespace

@@ -171,20 +171,9 @@ TEST(ReconfigExperimentTest, ChurnIsByteIdenticalAcrossExecutors) {
   ExperimentConfig cfg = BaseConfig(ProtocolKind::kHotStuff1Slotted, 8);
   ASSERT_TRUE(ParseCommitteeSchedule("0:0-7;1:0-4;3:0-7", &cfg.reconfig));
   cfg.sim_jobs = 1;
-  cfg.lookahead = {LookaheadMode::kOff, 0};
   const ExperimentResult serial = RunExperiment(cfg);
   EXPECT_GT(serial.committed_txns, 0u);
-  for (uint32_t sim_jobs : {1u, 4u}) {
-    for (LookaheadMode mode : {LookaheadMode::kOff, LookaheadMode::kAuto}) {
-      if (sim_jobs == 1 && mode == LookaheadMode::kOff) continue;
-      cfg.sim_jobs = sim_jobs;
-      cfg.lookahead = {mode, 0};
-      SCOPED_TRACE(::testing::Message() << "sim_jobs=" << sim_jobs
-                                        << " lookahead="
-                                        << FormatLookahead(cfg.lookahead));
-      ExpectSameResult(RunExperiment(cfg), serial);
-    }
-  }
+  ExpectWindowedRunsMatchSerial(cfg, serial);
 }
 
 TEST(ReconfigExperimentTest, PartitionDuringChurnHealsAndStaysClean) {

@@ -1,8 +1,7 @@
-// Shared determinism assertion: every deterministic ExperimentResult field
-// must agree between two runs of the same configuration. Lives in one place
-// so that a field added to ExperimentResult is covered by every determinism
-// test (parallel_sim_test, determinism_stress_test) at once. wall_ms is the
-// one sanctioned nondeterministic field and is deliberately not compared.
+// Shared determinism assertions: every ExperimentResult field must agree
+// between two runs of the same configuration. Lives in one place so that a
+// field added to ExperimentResult is covered by every determinism test
+// (parallel_sim_test, determinism_stress_test, ...) at once.
 
 #ifndef HOTSTUFF1_TESTS_RESULT_EQUALITY_H_
 #define HOTSTUFF1_TESTS_RESULT_EQUALITY_H_
@@ -45,9 +44,25 @@ inline void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& 
   // every executor configuration, not just the same verdict.
   EXPECT_EQ(a.oracle_first_violation, b.oracle_first_violation);
   EXPECT_EQ(a.liveness_first_violation, b.liveness_first_violation);
-  // cap_parallelism_degraded is deliberately NOT compared: it reports a
-  // property of the executor shape (event cap + sim_jobs > 1), not of the
-  // simulated run.
+}
+
+/// Reruns `cfg` on the 4-worker parallel executor under the derived horizon
+/// and under a narrower explicit window, and expects each run to equal
+/// `serial`, the sim_jobs = 1 run of the same configuration. Fails if the
+/// executor did not attach, so a comparison never quietly pits the serial
+/// loop against itself.
+inline void ExpectWindowedRunsMatchSerial(ExperimentConfig cfg,
+                                          const ExperimentResult& serial) {
+  cfg.sim_jobs = 4;
+  for (const LookaheadSpec lookahead : {LookaheadSpec{LookaheadMode::kAuto, 0},
+                                        LookaheadSpec{LookaheadMode::kWindow, 100}}) {
+    cfg.lookahead = lookahead;
+    SCOPED_TRACE("sim_jobs=4 lookahead=" + FormatLookahead(lookahead));
+    Experiment exp(cfg);
+    const ExperimentResult windowed = exp.Run();
+    EXPECT_EQ(exp.simulator().jobs(), 4) << "the run did not attach the executor";
+    ExpectSameResult(windowed, serial);
+  }
 }
 
 }  // namespace hotstuff1

@@ -81,7 +81,6 @@ TEST(ScenarioRegistryTest, AllScenariosExpandNonzeroDuplicateFree) {
   for (const ScenarioSpec* spec : all) {
     SCOPED_TRACE(spec->name);
     EXPECT_NE(ScenarioRegistry::Instance().Find(spec->name), nullptr);
-    if (spec->custom_run) continue;  // micro: not a sweep
     for (bool smoke : {false, true}) {
       const std::vector<SweepPoint> points = ExpandScenario(*spec, smoke);
       EXPECT_FALSE(points.empty());
@@ -100,7 +99,7 @@ TEST(ScenarioRegistryTest, FormerBenchBinariesAreRegistered) {
   for (const char* name :
        {"fig8_scalability", "fig8_batching", "fig8_geo", "fig9_delay",
         "fig9_georegions", "fig10_slowness", "fig10_tailfork", "fig10_rollback",
-        "ablation", "micro"}) {
+        "ablation"}) {
     EXPECT_NE(ScenarioRegistry::Instance().Find(name), nullptr) << name;
   }
 }

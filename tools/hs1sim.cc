@@ -79,12 +79,6 @@ int RunPoint(const CommandLine& cl) {
     std::printf("  WARNING: the simulator stopped at its event cap - this run "
                 "was truncated, not drained\n");
   }
-  if (res.cap_parallelism_degraded) {
-    std::fprintf(stderr,
-                 "warning: --event_cap with --sim-jobs > 1 disables windowed "
-                 "lookahead; this run fell back to tick-parallel scheduling "
-                 "(cap_parallelism_degraded)\n");
-  }
   return res.safety_ok && res.oracle_violations == 0 &&
                  res.liveness_violations == 0
              ? 0
