@@ -1,6 +1,5 @@
 #include "baselines/hotstuff.h"
 
-#include "common/logging.h"
 #include "sim/message_pool.h"
 #include "runtime/oracle.h"
 
@@ -29,11 +28,7 @@ void ChainedReplica::OnEnterView(uint64_t v) {
   if (v == 1 && ActiveInView(1)) {
     // Bootstrap: there is no view 0 to exit, so every committee member hands
     // L_1 a NewView over the hard-coded genesis certificate (§4.1 note).
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = 1;
-    nv->high_cert = high_cert_;
-    nv->has_share = false;
-    SendTo(LeaderOf(1), std::move(nv));
+    SendNewView(1, high_cert_);
   }
 
   // A proposal for this view may have arrived while we were in the previous
@@ -60,13 +55,7 @@ void ChainedReplica::OnEnterView(uint64_t v) {
 
 void ChainedReplica::OnViewTimeout(uint64_t v) {
   // Standby replicas advance their view clock but hold no NewView power.
-  if (ActiveInView(v + 1)) {
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = v + 1;
-    nv->high_cert = high_cert_;
-    nv->has_share = false;
-    SendTo(LeaderOf(v + 1), std::move(nv));
-  }
+  if (ActiveInView(v + 1)) SendNewView(v + 1, high_cert_);
   pacemaker_.CompletedView(v + 1);
 }
 
@@ -129,21 +118,11 @@ void ChainedReplica::VoteOn(const ProposeMsg& msg) {
   // ran, so safety is equivalent to the justify *being* the highest.
   const bool safe = msg.justify.block_id() == high_cert_.block_id() &&
                     msg.justify.block_hash() == high_cert_.block_hash();
-  const bool collude = adversary_.collude && adversary_.faulty &&
-                       (*adversary_.faulty)[msg.sender];
-  if (!safe && !collude) return;
+  if (!safe && !adversary_.ColludesWith(msg.sender)) return;
 
   voted_view_ = v;
   ++metrics_.votes_sent;
-  auto nv = sim::MakeMessage<NewViewMsg>(id_);
-  nv->target_view = v + 1;
-  nv->high_cert = high_cert_;
-  nv->has_share = true;
-  nv->share_kind = CertKind::kPrepare;
-  nv->voted_id = msg.block->id();
-  nv->voted_hash = msg.block->hash();
-  nv->share = SignVote(CertKind::kPrepare, v, msg.block->id(), msg.block->hash());
-  SendTo(LeaderOf(v + 1), std::move(nv));
+  SendNewView(v + 1, high_cert_, CertKind::kPrepare, *msg.block);
   ExitView(v);  // callers re-check view() before their own ExitView
 }
 
@@ -168,18 +147,9 @@ void ChainedReplica::HandleNewView(const NewViewMsg& msg) {
   if (msg.has_share && !ignore_shares &&
       msg.share_kind == CertKind::kPrepare && msg.voted_id.view + 1 == tv &&
       IsMember(msg.voted_id.view, msg.sender)) {
-    if (CheckVote(CertKind::kPrepare, msg.voted_id.view, msg.voted_id,
-                  msg.voted_hash, msg.share)) {
-      auto [it, inserted] = st.accs.try_emplace(
-          msg.voted_hash, CertKind::kPrepare, msg.voted_id.view, msg.voted_id,
-          msg.voted_hash, QuorumOf(msg.voted_id.view));
-      (void)inserted;
-      if (it->second.Add(msg.share)) {
-        st.formed = true;
-        const Certificate formed = it->second.Build();
-        if (oracle_) oracle_->OnCertificateFormed(id_, formed);
-        UpdateHighCert(formed);
-      }
+    if (auto formed = CollectShare(TallyFor(st.accs, msg), msg.share)) {
+      st.formed = true;
+      UpdateHighCert(*formed);
     }
   }
   MaybePropose(tv);
@@ -202,17 +172,7 @@ void ChainedReplica::MaybePropose(uint64_t v) {
 void ChainedReplica::Propose(uint64_t v) {
   LeaderViewState& st = nv_state_[v];
   st.proposed = true;
-
-  if (adversary_.SlowLeader(Now())) {
-    // D6: the rational leader holds its proposal to collect high-fee
-    // transactions, proposing only late in its view (Example 6.1).
-    const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
-    simulator()->At(when, [this, v]() {
-      if (crashed_ || view() != v) return;
-      BuildAndSend(v, high_cert_);
-    });
-    return;
-  }
+  if (DeferIfSlowLeader(v, [this, v] { BuildAndSend(v, high_cert_); })) return;
 
   if (adversary_.Equivocates(Now()) && high_cert_.block_id().view + 1 == v) {
     // §7.3 Rollback: equivocate across P(v-1) and P(v-2) so that a subset of
@@ -271,18 +231,7 @@ void ChainedReplica::BuildAndSend(uint64_t v, const Certificate& justify) {
     return;
   }
   st.proposed = true;
-  ChargeCpu(config_.costs.propose_base_us);
-  auto block = std::make_shared<Block>(BlockId{v, 1}, parent->hash(),
-                                       parent->height() + 1, id_, DrawBatch());
-  store_.Put(block);
-  RecordJustify(block->hash(), justify);
-  ++metrics_.blocks_proposed;
-  ++metrics_.slots_proposed;
-
-  auto msg = sim::MakeMessage<ProposeMsg>(id_);
-  msg->block = std::move(block);
-  msg->justify = justify;
-  Broadcast(std::move(msg));
+  Broadcast(ProposeBlock({v, 1}, parent, justify));
 }
 
 void ChainedReplica::OnBlockFetched(const BlockPtr& block) {

@@ -18,7 +18,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "common/replica_set.h"
 #include "consensus/replica.h"
@@ -30,9 +29,6 @@ class ChainedReplica : public ReplicaBase {
   ChainedReplica(ReplicaId id, const ConsensusConfig& config, sim::Network* net,
                  const KeyRegistry* registry, TransactionSource* source,
                  ResponseSink* sink, KvState initial_state);
-
-  const Certificate& high_cert() const { return high_cert_; }
-  uint64_t voted_view() const { return voted_view_; }
 
  protected:
   // --- protocol-specific hook -------------------------------------------------
@@ -61,8 +57,7 @@ class ChainedReplica : public ReplicaBase {
  private:
   struct LeaderViewState {
     ReplicaSet senders;
-    // One accumulator per distinct voted block (normally a single one).
-    std::unordered_map<Hash256, VoteAccumulator, Hash256Hasher> accs;
+    ShareTally accs;
     bool formed = false;       // formed P(v-1) from shares
     bool share_timer_passed = false;
     bool proposed = false;

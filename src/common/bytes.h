@@ -21,11 +21,6 @@ inline std::string BytesToString(const Bytes& b) {
   return std::string(b.begin(), b.end());
 }
 
-inline void AppendBytes(Bytes* out, const void* data, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  out->insert(out->end(), p, p + len);
-}
-
 inline void AppendU64(Bytes* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }

@@ -27,8 +27,6 @@ Hash256 VoteDigest(CertKind kind, uint64_t context_view, const BlockId& block_id
   return ctx.Finish();
 }
 
-namespace {
-
 SignDomain DomainFor(CertKind kind) {
   switch (kind) {
     case CertKind::kPrepare: return SignDomain::kProposeVote;
@@ -38,8 +36,6 @@ SignDomain DomainFor(CertKind kind) {
   }
   return SignDomain::kProposeVote;
 }
-
-}  // namespace
 
 Certificate Certificate::Genesis() {
   Certificate cert;
@@ -57,9 +53,9 @@ Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum) const {
     }
     return Status::OK();
   }
-  const uint64_t context_view =
-      kind_ == CertKind::kNewView ? formed_view_ : block_id_.view;
-  const Hash256 digest = VoteDigest(kind_, context_view, block_id_, block_hash_);
+  const Hash256 digest =
+      VoteDigest(kind_, ShareContextView(kind_, block_id_.view, formed_view_),
+                 block_id_, block_hash_);
   return registry.VerifyQuorum(sigs_, DomainFor(kind_), digest, quorum);
 }
 

@@ -40,6 +40,17 @@ const char* CertKindName(CertKind kind);
 Hash256 VoteDigest(CertKind kind, uint64_t context_view, const BlockId& block_id,
                    const Hash256& block_hash);
 
+/// Signature domain of a share of `kind` (one domain per protocol step).
+SignDomain DomainFor(CertKind kind);
+
+/// The view a share of `kind` is cast in, which VoteDigest binds: for a
+/// New-View share the view being entered (`entered_view`, which becomes the
+/// certificate's formed view), for every other kind the voted block's view.
+inline uint64_t ShareContextView(CertKind kind, uint64_t block_view,
+                                 uint64_t entered_view) {
+  return kind == CertKind::kNewView ? entered_view : block_view;
+}
+
 /// \brief Quorum certificate over one block.
 class Certificate {
  public:
@@ -128,6 +139,8 @@ class VoteAccumulator {
   Certificate Build(uint64_t formed_view) const;
   Certificate Build() const { return Build(block_id_.view); }
 
+  CertKind kind() const { return kind_; }
+  uint64_t context_view() const { return context_view_; }
   const Hash256& block_hash() const { return block_hash_; }
   const BlockId& block_id() const { return block_id_; }
 

@@ -206,6 +206,11 @@ struct AdversarySpec {
   /// honest replicas.
   std::shared_ptr<const StrategySchedule> schedule;
 
+  /// True when this replica colludes with `leader`: both are in the
+  /// coalition, so it votes for whatever `leader` proposes.
+  bool ColludesWith(ReplicaId leader) const {
+    return collude && faulty && (*faulty)[leader];
+  }
   /// Schedule-driven actions live at `now`.
   uint32_t ScheduledActions(SimTime now) const {
     return schedule ? schedule->ActionsAt(now) : kActNone;

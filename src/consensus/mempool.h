@@ -1,5 +1,4 @@
-// Interfaces between consensus replicas and the client world, plus a
-// standalone transaction source for tests and micro-benchmarks.
+// Interfaces between consensus replicas and the client world.
 
 #ifndef HOTSTUFF1_CONSENSUS_MEMPOOL_H_
 #define HOTSTUFF1_CONSENSUS_MEMPOOL_H_
@@ -7,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "common/units.h"
 #include "crypto/signer.h"
 #include "ledger/block.h"
@@ -46,42 +44,6 @@ class ResponseSink {
   virtual void OnBlockResponse(ReplicaId from, const BlockPtr& block,
                                const std::vector<uint64_t>& results,
                                bool speculative, SimTime send_time) = 0;
-};
-
-/// \brief Infinite synthetic source: mints fresh transactions on demand from
-/// a generator callback. No queueing, no client latency semantics; used by
-/// unit tests and micro-benchmarks.
-class SyntheticSource : public TransactionSource {
- public:
-  using Generator = std::function<Transaction(uint64_t seq)>;
-
-  explicit SyntheticSource(Generator gen) : gen_(std::move(gen)) {}
-
-  std::vector<Transaction> DrawBatch(ReplicaId /*leader*/, size_t max,
-                                     SimTime now) override {
-    std::vector<Transaction> out;
-    out.reserve(max);
-    for (size_t i = 0; i < max; ++i) {
-      Transaction t = gen_(next_seq_++);
-      t.submit_time = now;
-      out.push_back(std::move(t));
-    }
-    return out;
-  }
-
-  size_t PendingCount() const override { return SIZE_MAX; }
-
- private:
-  Generator gen_;
-  uint64_t next_seq_ = 0;
-};
-
-/// \brief Response sink that drops everything (tests that only care about
-/// replica-side state).
-class NullResponseSink : public ResponseSink {
- public:
-  void OnBlockResponse(ReplicaId, const BlockPtr&, const std::vector<uint64_t>&,
-                       bool, SimTime) override {}
 };
 
 }  // namespace hotstuff1

@@ -48,8 +48,6 @@ struct ConsensusMessage : public sim::NetMessage {
 
 using ConsensusMessagePtr = std::shared_ptr<const ConsensusMessage>;
 
-const char* MessageTypeName(ConsensusMessage::Type type);
-
 /// Leader proposal. For slotted first-slot proposals in way (ii), the block's
 /// parent is the carried block (chained through it), `justify` certifies the
 /// grandparent, and `carry` attaches the carried block so receivers missing
@@ -76,8 +74,7 @@ struct VoteMsg : public ConsensusMessage {
   VoteMsg(ReplicaId s) : ConsensusMessage(Type::kVote, s) {}
 
   CertKind vote_kind = CertKind::kPrepare;
-  uint64_t context_view = 0;  // view the vote is cast in
-  BlockId block_id;
+  BlockId block_id;  // the context view is block_id.view
   Hash256 block_hash;
   Signature share;
   Certificate high_cert;  // voter's highest certificate (slotted NewSlot msgs)

@@ -52,11 +52,6 @@ class LatencyRecorder {
     return ToMillis(sorted[idx]);
   }
 
-  double MaxMs() const {
-    if (samples_.empty()) return 0;
-    return ToMillis(*std::max_element(samples_.begin(), samples_.end()));
-  }
-
   void Clear() { samples_.clear(); }
 
   const std::vector<SimTime>& samples() const { return samples_; }

@@ -156,51 +156,112 @@ void ReplicaBase::SendMasked(const std::vector<bool>& mask,
 Signature ReplicaBase::SignVote(CertKind kind, uint64_t context_view,
                                 const BlockId& block_id, const Hash256& block_hash) {
   ChargeCpu(config_.costs.sign_us);
-  SignDomain domain;
-  switch (kind) {
-    case CertKind::kPrepare: domain = SignDomain::kProposeVote; break;
-    case CertKind::kCommit: domain = SignDomain::kCommitVote; break;
-    case CertKind::kNewSlot: domain = SignDomain::kNewSlot; break;
-    case CertKind::kNewView: domain = SignDomain::kNewView; break;
-    default: domain = SignDomain::kProposeVote; break;
-  }
-  return signer_.Sign(domain, VoteDigest(kind, context_view, block_id, block_hash));
+  return signer_.Sign(DomainFor(kind),
+                      VoteDigest(kind, context_view, block_id, block_hash));
 }
 
 bool ReplicaBase::CheckVote(CertKind kind, uint64_t context_view,
                             const BlockId& block_id, const Hash256& block_hash,
                             const Signature& sig) {
   ChargeCpu(config_.costs.verify_us);
-  SignDomain domain;
-  switch (kind) {
-    case CertKind::kPrepare: domain = SignDomain::kProposeVote; break;
-    case CertKind::kCommit: domain = SignDomain::kCommitVote; break;
-    case CertKind::kNewSlot: domain = SignDomain::kNewSlot; break;
-    case CertKind::kNewView: domain = SignDomain::kNewView; break;
-    default: domain = SignDomain::kProposeVote; break;
-  }
-  return registry_->Verify(sig, domain,
+  return registry_->Verify(sig, DomainFor(kind),
                            VoteDigest(kind, context_view, block_id, block_hash));
+}
+
+void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert) {
+  auto nv = sim::MakeMessage<NewViewMsg>(id_);
+  nv->target_view = target;
+  nv->high_cert = high_cert;
+  SendTo(LeaderOf(target), std::move(nv));
+}
+
+void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert,
+                              CertKind kind, const Block& voted) {
+  auto nv = sim::MakeMessage<NewViewMsg>(id_);
+  nv->target_view = target;
+  nv->high_cert = high_cert;
+  nv->has_share = true;
+  nv->share_kind = kind;
+  nv->voted_id = voted.id();
+  nv->voted_hash = voted.hash();
+  nv->share = SignVote(kind, ShareContextView(kind, voted.view(), target),
+                       voted.id(), voted.hash());
+  SendTo(LeaderOf(target), std::move(nv));
+}
+
+void ReplicaBase::SendVote(CertKind kind, const Block& block,
+                           const Certificate& high_cert) {
+  ++metrics_.votes_sent;
+  auto vote = sim::MakeMessage<VoteMsg>(id_);
+  vote->vote_kind = kind;
+  vote->block_id = block.id();
+  vote->block_hash = block.hash();
+  vote->share = SignVote(kind, block.view(), block.id(), block.hash());
+  vote->high_cert = high_cert;
+  SendTo(LeaderOf(block.view()), std::move(vote));
+}
+
+std::optional<Certificate> ReplicaBase::CollectShare(VoteAccumulator& acc,
+                                                     const Signature& share) {
+  if (!CheckVote(acc.kind(), acc.context_view(), acc.block_id(), acc.block_hash(),
+                 share) ||
+      !acc.Add(share)) {
+    return std::nullopt;
+  }
+  Certificate cert = acc.Build(acc.context_view());
+  if (oracle_) oracle_->OnCertificateFormed(id_, cert);
+  return cert;
+}
+
+VoteAccumulator& ReplicaBase::TallyFor(ShareTally& tally, const NewViewMsg& msg) {
+  const CertKind kind = msg.share_kind;
+  const uint64_t block_view = msg.voted_id.view;
+  const uint64_t tv = msg.target_view;
+  return tally
+      .try_emplace(msg.voted_hash, kind, ShareContextView(kind, block_view, tv),
+                   msg.voted_id, msg.voted_hash, ShareQuorum(kind, block_view, tv))
+      .first->second;
+}
+
+uint32_t ReplicaBase::ShareQuorum(CertKind kind, uint64_t block_view,
+                                  uint64_t entered_view) const {
+  // Quorum arithmetic follows the committee of the view the shares were cast
+  // in. NewView shares sign the view being *entered* (their context view) but
+  // are cast by the previous view's committee — at a growth boundary the new,
+  // larger quorum must not reject a certificate the old committee
+  // legitimately formed.
+  if (kind != CertKind::kNewView) return QuorumOf(block_view);
+  return QuorumOf(entered_view == 0 ? 0 : entered_view - 1);
+}
+
+std::shared_ptr<ProposeMsg> ReplicaBase::ProposeBlock(const BlockId& id,
+                                                      const BlockPtr& parent,
+                                                      const Certificate& justify,
+                                                      BlockPtr carry) {
+  ChargeCpu(config_.costs.propose_base_us);
+  auto block = std::make_shared<Block>(id, parent->hash(), parent->height() + 1,
+                                       id_, DrawBatch(),
+                                       carry ? carry->hash() : Hash256{});
+  store_.Put(block);
+  RecordJustify(block->hash(), justify);
+  ++metrics_.slots_proposed;
+  if (id.slot == 1) ++metrics_.blocks_proposed;
+  auto msg = sim::MakeMessage<ProposeMsg>(id_);
+  msg->block = std::move(block);
+  msg->justify = justify;
+  msg->carry = std::move(carry);
+  return msg;
 }
 
 bool ReplicaBase::CheckCert(const Certificate& cert) {
   if (cert.IsGenesis()) return true;
-  const uint64_t context_view =
-      cert.kind() == CertKind::kNewView ? cert.formed_view() : cert.view();
-  const Hash256 key =
-      VoteDigest(cert.kind(), context_view, cert.block_id(), cert.block_hash());
+  const Hash256 key = VoteDigest(
+      cert.kind(), ShareContextView(cert.kind(), cert.view(), cert.formed_view()),
+      cert.block_id(), cert.block_hash());
   if (verified_certs_.count(key)) return true;
   ChargeCpu(config_.costs.verify_us * static_cast<SimTime>(cert.sigs().size()));
-  // Quorum arithmetic follows the committee of the view the shares were cast
-  // in. NewView shares sign the view being *entered* (the digest context
-  // above) but are cast by the previous view's committee — at a growth
-  // boundary the new, larger quorum must not reject a certificate the old
-  // committee legitimately formed.
-  const uint64_t quorum_view =
-      cert.kind() == CertKind::kNewView
-          ? (cert.formed_view() == 0 ? 0 : cert.formed_view() - 1)
-          : cert.view();
-  const Status st = cert.Verify(*registry_, QuorumOf(quorum_view));
+  const Status st = cert.Verify(
+      *registry_, ShareQuorum(cert.kind(), cert.view(), cert.formed_view()));
   if (!st.ok()) {
     HS1_LOG_WARN() << "replica " << id_ << ": bad certificate " << cert.ToString()
                    << ": " << st;

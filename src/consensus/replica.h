@@ -6,6 +6,8 @@
 #define HOTSTUFF1_CONSENSUS_REPLICA_H_
 
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -48,9 +50,10 @@ class ReplicaBase {
   void SetAdversary(const AdversarySpec& spec) { adversary_ = spec; }
   const AdversarySpec& adversary() const { return adversary_; }
   /// Attaches the online invariant oracle (null = disabled). The base class
-  /// reports views entered, commits, speculative responses and rollbacks;
-  /// the protocol cores add certificate formations at their aggregation
-  /// sites. Reporting is a pure observation and never alters behaviour.
+  /// reports views entered, certificates formed (CollectShare), commits,
+  /// speculative responses and rollbacks; the chained core adds the
+  /// equivocation campaigns it launches. Reporting is a pure observation and
+  /// never alters behaviour.
   void SetOracle(InvariantOracle* oracle) { oracle_ = oracle; }
   /// Attaches the online liveness oracle (null = disabled). The base class
   /// feeds it the same view-entry and commit events as the safety oracle;
@@ -80,14 +83,69 @@ class ReplicaBase {
 
   // --- crypto with CPU accounting ---------------------------------------------
   void ChargeCpu(SimTime cost) { net_->ConsumeCpu(id_, cost); }
-  Signature SignVote(CertKind kind, uint64_t context_view, const BlockId& block_id,
-                     const Hash256& block_hash);
+  /// Verifies one share, charging one signature verification.
   bool CheckVote(CertKind kind, uint64_t context_view, const BlockId& block_id,
                  const Hash256& block_hash, const Signature& sig);
   /// Verifies a certificate, charging CPU only the first time a given
   /// certificate content is seen (verification results are cached, as real
   /// implementations do).
   bool CheckCert(const Certificate& cert);
+
+  // --- the vote path ----------------------------------------------------------
+  // Every protocol advances by one linear step: replicas sign a share to one
+  // leader, and that leader turns a quorum of shares into a certificate. A
+  // share's context view is the view it is cast in: the voted block's view,
+  // or for a New-View share (slotting, §6.1) the view being entered.
+
+  /// Sends L_target the NewView message for entering view `target`, carrying
+  /// our highest certificate and no share (⊥).
+  void SendNewView(uint64_t target, const Certificate& high_cert);
+  /// As above, plus a signed `kind` share for `voted`: the streamlined
+  /// prepare vote (Fig. 4), basic HotStuff-1's commit share (Fig. 2) or
+  /// slotting's New-View share (Fig. 7).
+  void SendNewView(uint64_t target, const Certificate& high_cert, CertKind kind,
+                   const Block& voted);
+  /// Sends the leader of `block`'s view a signed `kind` share for `block`:
+  /// basic HotStuff-1's ProposeVote or slotting's NewSlot vote, which also
+  /// reports the voter's highest certificate.
+  void SendVote(CertKind kind, const Block& block,
+                const Certificate& high_cert = Certificate());
+  /// Verifies `share` against the vote `acc` tallies (charging one
+  /// verification) and adds it. On the share that completes the quorum,
+  /// builds the certificate, formed in the view the shares were cast in
+  /// (`acc.context_view()`), reports it to the oracle and returns it;
+  /// otherwise returns nothing. Every certificate in the program forms here.
+  std::optional<Certificate> CollectShare(VoteAccumulator& acc,
+                                          const Signature& share);
+  /// A leader's tally of the shares NewView messages carry for one target
+  /// view: one accumulator per voted block (normally a single one).
+  using ShareTally = std::unordered_map<Hash256, VoteAccumulator, Hash256Hasher>;
+  /// The accumulator in `tally` for the block `msg`'s share votes for,
+  /// created on first sight, with the quorum of the committee that casts
+  /// such shares (ShareQuorum).
+  VoteAccumulator& TallyFor(ShareTally& tally, const NewViewMsg& msg);
+
+  // --- proposals ---------------------------------------------------------------
+  /// The leader's proposal step: charges the proposal CPU, draws a batch,
+  /// builds block `id` on `parent` (with slotting's `carry`, if any), stores
+  /// it, records `justify` as its justify and counts it. Returns the unsent
+  /// proposal, for the core to complete and broadcast.
+  std::shared_ptr<ProposeMsg> ProposeBlock(const BlockId& id, const BlockPtr& parent,
+                                           const Certificate& justify,
+                                           BlockPtr carry = nullptr);
+  /// D6 slow leader (Example 6.1): while the schedule makes this leader
+  /// slow, defers `propose` to three quarters into view `v`'s timer, to
+  /// collect high-fee transactions, and returns true. The deferred call is
+  /// dropped if the view has moved on by then.
+  template <typename Propose>
+  bool DeferIfSlowLeader(uint64_t v, Propose propose) {
+    if (!adversary_.SlowLeader(Now())) return false;
+    const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
+    simulator()->At(when, [this, v, propose]() mutable {
+      if (!crashed_ && view() == v) propose();
+    });
+    return true;
+  }
 
   // --- clients ---------------------------------------------------------------
   std::vector<Transaction> DrawBatch();
@@ -177,6 +235,15 @@ class ReplicaBase {
   uint64_t exited_view_ = 0;
 
  private:
+  /// Signs one share, charging one signature. Only the vote path signs.
+  Signature SignVote(CertKind kind, uint64_t context_view, const BlockId& block_id,
+                     const Hash256& block_hash);
+  /// Quorum for `kind` shares over a block of view `block_view`, where a
+  /// New-View share enters `entered_view`: the quorum of the committee that
+  /// casts them (see replica.cc).
+  uint32_t ShareQuorum(CertKind kind, uint64_t block_view,
+                       uint64_t entered_view) const;
+
   /// Strategy-schedule wire suppression (withhold / target-leader): true when
   /// this (adversarial) replica must drop its outbound message to `to` right
   /// now. Self-delivery is never suppressed — the coalition keeps its own

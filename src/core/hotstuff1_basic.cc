@@ -1,8 +1,6 @@
 #include "core/hotstuff1_basic.h"
 
-#include "common/logging.h"
 #include "sim/message_pool.h"
-#include "runtime/oracle.h"
 
 namespace hotstuff1 {
 
@@ -31,11 +29,7 @@ void HotStuff1BasicReplica::OnEnterView(uint64_t v) {
 
   if (v == 1 && ActiveInView(1)) {
     // Bootstrap: no view 0 exists; hand L_1 a NewView over genesis.
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = 1;
-    nv->high_cert = high_prepare_;
-    nv->has_share = false;
-    SendTo(LeaderOf(1), std::move(nv));
+    SendNewView(1, high_prepare_);
   }
 
   auto pending = pending_proposals_.find(v);
@@ -57,13 +51,7 @@ void HotStuff1BasicReplica::OnEnterView(uint64_t v) {
 
 void HotStuff1BasicReplica::OnViewTimeout(uint64_t v) {
   // Standby replicas advance their view clock but hold no NewView power.
-  if (ActiveInView(v + 1)) {
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = v + 1;
-    nv->high_cert = high_prepare_;
-    nv->has_share = false;
-    SendTo(LeaderOf(v + 1), std::move(nv));
-  }
+  if (ActiveInView(v + 1)) SendNewView(v + 1, high_prepare_);
   pacemaker_.CompletedView(v + 1);
 }
 
@@ -99,19 +87,10 @@ void HotStuff1BasicReplica::HandleNewView(const NewViewMsg& msg) {
   // Commit shares over P(v-1) aggregate into C(v-1) (Fig. 2 lines 11-12).
   if (msg.has_share && msg.share_kind == CertKind::kCommit &&
       msg.voted_id.view + 1 == tv && IsMember(msg.voted_id.view, msg.sender)) {
-    if (CheckVote(CertKind::kCommit, msg.voted_id.view, msg.voted_id,
-                  msg.voted_hash, msg.share)) {
-      auto [it, inserted] = st.commit_accs.try_emplace(
-          msg.voted_hash, CertKind::kCommit, msg.voted_id.view, msg.voted_id,
-          msg.voted_hash, QuorumOf(msg.voted_id.view));
-      (void)inserted;
-      if (it->second.Add(msg.share)) {
-        Certificate commit_cert = it->second.Build();
-        if (oracle_) oracle_->OnCertificateFormed(id_, commit_cert);
-        if (!high_commit_ || high_commit_->block_id() < commit_cert.block_id()) {
-          high_commit_ = std::move(commit_cert);
-        }
-      }
+    auto commit_cert = CollectShare(TallyFor(st.commit_accs, msg), msg.share);
+    if (commit_cert &&
+        (!high_commit_ || high_commit_->block_id() < commit_cert->block_id())) {
+      high_commit_ = std::move(commit_cert);
     }
   }
   MaybePropose(tv);
@@ -134,15 +113,7 @@ void HotStuff1BasicReplica::MaybePropose(uint64_t v) {
 
 void HotStuff1BasicReplica::Propose(uint64_t v) {
   state_[v].proposed = true;
-  if (adversary_.SlowLeader(Now())) {
-    // D6: the rational leader holds its proposal to collect high-fee
-    // transactions, proposing only late in its view (Example 6.1).
-    const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
-    simulator()->At(when, [this, v]() {
-      if (!crashed_ && view() == v) BuildAndSend(v);
-    });
-    return;
-  }
+  if (DeferIfSlowLeader(v, [this, v] { BuildAndSend(v); })) return;
   BuildAndSend(v);
 }
 
@@ -153,18 +124,11 @@ void HotStuff1BasicReplica::BuildAndSend(uint64_t v) {
     EnsureBlock(high_prepare_.block_hash(), LeaderOf(high_prepare_.block_id().view));
     return;
   }
-  ChargeCpu(config_.costs.propose_base_us);
-  auto block = std::make_shared<Block>(BlockId{v, 1}, parent->hash(),
-                                       parent->height() + 1, id_, DrawBatch());
-  store_.Put(block);
-  RecordJustify(block->hash(), high_prepare_);
-  ++metrics_.blocks_proposed;
-  ++metrics_.slots_proposed;
-
-  auto msg = sim::MakeMessage<ProposeMsg>(id_);
-  msg->block = std::move(block);
-  msg->justify = high_prepare_;
+  auto msg = ProposeBlock({v, 1}, parent, high_prepare_);
   msg->commit_cert = high_commit_;
+  // This leader forms P(v) from the ProposeVotes for exactly this block.
+  state_[v].vote_acc.emplace(CertKind::kPrepare, v, msg->block->id(),
+                             msg->block->hash(), QuorumOf(v));
   Broadcast(std::move(msg));
 }
 
@@ -204,19 +168,10 @@ void HotStuff1BasicReplica::HandlePropose(const ProposeMsg& msg) {
   if (ActiveInView(v)) {
     const bool safe = msg.justify.block_id() == high_prepare_.block_id() &&
                       msg.justify.block_hash() == high_prepare_.block_hash();
-    const bool collude = adversary_.collude && adversary_.faulty &&
-                         (*adversary_.faulty)[msg.sender];
-    if (!safe && !collude) return;
+    if (!safe && !adversary_.ColludesWith(msg.sender)) return;
 
     voted_view_ = v;
-    ++metrics_.votes_sent;
-    auto vote = sim::MakeMessage<VoteMsg>(id_);
-    vote->vote_kind = CertKind::kPrepare;
-    vote->context_view = v;
-    vote->block_id = msg.block->id();
-    vote->block_hash = msg.block->hash();
-    vote->share = SignVote(CertKind::kPrepare, v, msg.block->id(), msg.block->hash());
-    SendTo(LeaderOf(v), std::move(vote));
+    SendVote(CertKind::kPrepare, *msg.block);
   }
 
   // A Prepare may have raced ahead of the proposal; replay it.
@@ -235,22 +190,12 @@ void HotStuff1BasicReplica::HandleVote(const VoteMsg& msg) {
   if (v <= exited_view_) return;  // no late certificate formation
   if (!IsMember(v, msg.sender)) return;  // standby votes carry no weight
   LeaderViewState& st = state_[v];
-  if (st.prepared) return;
-  if (!CheckVote(CertKind::kPrepare, v, msg.block_id, msg.block_hash, msg.share)) {
-    return;
-  }
-  if (!st.vote_acc) {
-    st.vote_acc.emplace(CertKind::kPrepare, v, msg.block_id, msg.block_hash,
-                        QuorumOf(v));
-  }
-  if (st.vote_acc->block_hash() != msg.block_hash) return;
-  if (st.vote_acc->Add(msg.share)) {
+  if (st.prepared || !st.vote_acc) return;
+  if (auto prepare = CollectShare(*st.vote_acc, msg.share)) {
     st.prepared = true;
-    Certificate prepare = st.vote_acc->Build();
-    if (oracle_) oracle_->OnCertificateFormed(id_, prepare);
-    UpdateHighPrepare(prepare);
+    UpdateHighPrepare(*prepare);
     auto prep = sim::MakeMessage<PrepareMsg>(id_);
-    prep->cert = std::move(prepare);
+    prep->cert = std::move(*prepare);
     Broadcast(std::move(prep));
   }
 }
@@ -292,15 +237,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
   if (v == view() && v > exited_view_ && commit_voted_view_ < v) {
     commit_voted_view_ = v;
     if (ActiveInView(v)) {
-      auto nv = sim::MakeMessage<NewViewMsg>(id_);
-      nv->target_view = v + 1;
-      nv->high_cert = high_prepare_;
-      nv->has_share = true;
-      nv->share_kind = CertKind::kCommit;
-      nv->voted_id = certified->id();
-      nv->voted_hash = certified->hash();
-      nv->share = SignVote(CertKind::kCommit, v, certified->id(), certified->hash());
-      SendTo(LeaderOf(v + 1), std::move(nv));
+      SendNewView(v + 1, high_prepare_, CertKind::kCommit, *certified);
     }
     ExitToNextView(v);
   }

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/replica_set.h"
 #include "consensus/replica.h"
@@ -43,7 +42,7 @@ class HotStuff1BasicReplica : public ReplicaBase {
  private:
   struct LeaderViewState {
     ReplicaSet senders;
-    std::unordered_map<Hash256, VoteAccumulator, Hash256Hasher> commit_accs;
+    ShareTally commit_accs;
     std::optional<VoteAccumulator> vote_acc;  // ProposeVote shares for B_v
     bool share_timer_passed = false;
     bool proposed = false;

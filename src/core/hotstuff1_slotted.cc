@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "sim/message_pool.h"
-#include "runtime/oracle.h"
 
 namespace hotstuff1 {
 
@@ -14,7 +12,7 @@ HotStuff1SlottedReplica::HotStuff1SlottedReplica(
     KvState initial_state)
     : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
       high_cert_(Certificate::Genesis()),
-      high_voted_hash_(Block::Genesis()->hash()),
+      high_voted_(Block::Genesis()),
       distrusted_(config.n, false) {}
 
 bool HotStuff1SlottedReplica::FormedInView(const Certificate& cert, uint64_t v) {
@@ -73,15 +71,7 @@ void HotStuff1SlottedReplica::OnEnterView(uint64_t v) {
   if (v == 1 && ActiveInView(1)) {
     // Bootstrap: there is no view 0 to time out of, so every replica sends
     // L_1 an initial NewView voting for the hard-coded genesis (§4.1 note).
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = 1;
-    nv->high_cert = high_cert_;
-    nv->has_share = true;
-    nv->share_kind = CertKind::kNewView;
-    nv->voted_id = high_voted_id_;
-    nv->voted_hash = high_voted_hash_;
-    nv->share = SignVote(CertKind::kNewView, 1, high_voted_id_, high_voted_hash_);
-    SendTo(LeaderOf(1), std::move(nv));
+    SendNewView(1, high_cert_, CertKind::kNewView, *high_voted_);
   }
 
   auto pending = pending_proposals_.find(v);
@@ -107,15 +97,7 @@ void HotStuff1SlottedReplica::OnViewTimeout(uint64_t v) {
   // voted block H_h (Fig. 7 lines 27-31). Standby replicas advance their
   // view clock but hold no NewView power.
   if (ActiveInView(v + 1)) {
-    auto nv = sim::MakeMessage<NewViewMsg>(id_);
-    nv->target_view = v + 1;
-    nv->high_cert = high_cert_;
-    nv->has_share = true;
-    nv->share_kind = CertKind::kNewView;
-    nv->voted_id = high_voted_id_;
-    nv->voted_hash = high_voted_hash_;
-    nv->share = SignVote(CertKind::kNewView, v + 1, high_voted_id_, high_voted_hash_);
-    SendTo(LeaderOf(v + 1), std::move(nv));
+    SendNewView(v + 1, high_cert_, CertKind::kNewView, *high_voted_);
   }
   pacemaker_.CompletedView(v + 1);
 }
@@ -155,23 +137,13 @@ void HotStuff1SlottedReplica::HandleNewView(const NewViewMsg& msg) {
 
   if (msg.has_share && msg.share_kind == CertKind::kNewView &&
       IsMember(prev, msg.sender)) {
-    if (CheckVote(CertKind::kNewView, tv, msg.voted_id, msg.voted_hash, msg.share)) {
-      auto [it, inserted] = st.nv_accs.try_emplace(
-          msg.voted_hash, CertKind::kNewView, tv, msg.voted_id, msg.voted_hash,
-          QuorumOf(prev));
-      (void)inserted;
-      VoteInfo& vi = st.nv_votes[msg.voted_hash];
-      vi.id = msg.voted_id;
-      if (it->second.Add(msg.share)) {
-        ++vi.count;
-        if (!st.first_proposed && !msg.voted_hash.IsZero()) {
-          st.formed_nv = it->second.Build(/*formed_view=*/tv);
-          if (oracle_) oracle_->OnCertificateFormed(id_, *st.formed_nv);
-          UpdateHighCert(*st.formed_nv);
-        }
-      } else {
-        ++vi.count;
-      }
+    if (st.first_proposed) {
+      // Too late to shape the first slot, and no certificate may form from
+      // it; the share is still verified on receipt.
+      CheckVote(CertKind::kNewView, tv, msg.voted_id, msg.voted_hash, msg.share);
+    } else if (auto formed = CollectShare(TallyFor(st.nv_accs, msg), msg.share)) {
+      st.formed_nv = std::move(formed);
+      UpdateHighCert(*st.formed_nv);
     }
   }
 
@@ -219,10 +191,12 @@ void HotStuff1SlottedReplica::MaybeProposeFirst(uint64_t v) {
   if (!ready) {
     const uint32_t k = prev_n - st.nv_senders.Count();
     if (k >= 1 && k <= prev_f) {
-      uint32_t max_higher = 0;
-      for (const auto& [hash, vi] : st.nv_votes) {
+      size_t max_higher = 0;
+      for (const auto& [hash, acc] : st.nv_accs) {
         (void)hash;
-        if (high_cert_.block_id() < vi.id) max_higher = std::max(max_higher, vi.count);
+        if (high_cert_.block_id() < acc.block_id()) {
+          max_higher = std::max(max_higher, acc.count());
+        }
       }
       if (max_higher < prev_f + 1 - k) ready = true;
     }
@@ -276,24 +250,12 @@ void HotStuff1SlottedReplica::SendProposal(uint64_t v, uint32_t slot,
                                            const Certificate& justify,
                                            BlockPtr parent, BlockPtr carry) {
   LeaderState& st = lstate_[v];
-  ChargeCpu(config_.costs.propose_base_us);
-  auto block = std::make_shared<Block>(
-      BlockId{v, slot}, parent->hash(), parent->height() + 1, id_, DrawBatch(),
-      carry ? carry->hash() : Hash256{});
-  store_.Put(block);
-  RememberChild(block);
-  RecordJustify(block->hash(), justify);
+  auto msg = ProposeBlock({v, slot}, parent, justify, carry);
+  RememberChild(msg->block);
   if (carry) RecordJustify(carry->hash(), justify);
-  ++metrics_.slots_proposed;
-  if (slot == 1) ++metrics_.blocks_proposed;
   st.slots_proposed = slot;
-  st.slot_acc.emplace(CertKind::kNewSlot, v, block->id(), block->hash(),
+  st.slot_acc.emplace(CertKind::kNewSlot, v, msg->block->id(), msg->block->hash(),
                       QuorumOf(v));
-
-  auto msg = sim::MakeMessage<ProposeMsg>(id_);
-  msg->block = std::move(block);
-  msg->justify = justify;
-  msg->carry = std::move(carry);
   Broadcast(std::move(msg));
 }
 
@@ -311,14 +273,9 @@ void HotStuff1SlottedReplica::HandleNewSlotVote(const VoteMsg& msg) {
   if (!st.slot_acc || st.slot_acc->block_hash() != msg.block_hash) return;
   if (!CheckCert(msg.high_cert)) return;
   UpdateHighCert(msg.high_cert);
-  if (!CheckVote(CertKind::kNewSlot, v, msg.block_id, msg.block_hash, msg.share)) {
-    return;
-  }
-  if (st.slot_acc->Add(msg.share)) {
-    Certificate formed = st.slot_acc->Build();
-    if (oracle_) oracle_->OnCertificateFormed(id_, formed);
-    UpdateHighCert(formed);
-    ProposeNextSlot(v, formed);
+  if (auto formed = CollectShare(*st.slot_acc, msg.share)) {
+    UpdateHighCert(*formed);
+    ProposeNextSlot(v, *formed);
   }
 }
 
@@ -470,22 +427,10 @@ void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
   }
 
   const bool lex_ok = high_cert_.block_id() <= msg.justify.block_id();
-  const bool collude = adversary_.collude && adversary_.faulty &&
-                       (*adversary_.faulty)[msg.sender];
-  if ((SafeSlot(msg, carry) && lex_ok) || collude) {
+  if ((SafeSlot(msg, carry) && lex_ok) || adversary_.ColludesWith(msg.sender)) {
     next_slot_ = s + 1;
-    high_voted_id_ = msg.block->id();
-    high_voted_hash_ = msg.block->hash();
-    ++metrics_.votes_sent;
-    auto vote = sim::MakeMessage<VoteMsg>(id_);
-    vote->vote_kind = CertKind::kNewSlot;
-    vote->context_view = v;
-    vote->block_id = msg.block->id();
-    vote->block_hash = msg.block->hash();
-    vote->share =
-        SignVote(CertKind::kNewSlot, v, msg.block->id(), msg.block->hash());
-    vote->high_cert = high_cert_;
-    SendTo(LeaderOf(v), std::move(vote));
+    high_voted_ = msg.block;
+    SendVote(CertKind::kNewSlot, *msg.block, high_cert_);
   } else {
     next_slot_ = s + 1;  // Fig. 7 line 26: the slot is consumed either way
     ++metrics_.rejects_sent;

@@ -40,7 +40,6 @@ class HotStuff1SlottedReplica : public ReplicaBase {
 
   const char* Name() const override { return "HotStuff-1 (slotting)"; }
 
-  const Certificate& high_cert() const { return high_cert_; }
   bool Distrusts(ReplicaId r) const { return distrusted_[r]; }
 
  protected:
@@ -50,15 +49,9 @@ class HotStuff1SlottedReplica : public ReplicaBase {
   void OnBlockFetched(const BlockPtr& block) override;
 
  private:
-  struct VoteInfo {
-    BlockId id;
-    uint32_t count = 0;
-  };
-
   struct LeaderState {
     ReplicaSet nv_senders;
-    std::unordered_map<Hash256, VoteAccumulator, Hash256Hasher> nv_accs;
-    std::unordered_map<Hash256, VoteInfo, Hash256Hasher> nv_votes;
+    ShareTally nv_accs;
     std::optional<Certificate> formed_nv;        // way (i) certificate
     std::optional<Certificate> prev_leader_cert; // trusted fast path (§6.3)
     bool share_timer_passed = false;
@@ -94,8 +87,7 @@ class HotStuff1SlottedReplica : public ReplicaBase {
   void ApplySpeculation(const Certificate& justify, const BlockId& proposal_id);
 
   Certificate high_cert_;
-  BlockId high_voted_id_{0, 0};
-  Hash256 high_voted_hash_;
+  BlockPtr high_voted_;  // H_h: the highest block this replica voted for
   uint32_t next_slot_ = 1;   // next slot we may vote on in slot_view_
   uint64_t slot_view_ = 0;
   std::vector<bool> distrusted_;

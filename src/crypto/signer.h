@@ -57,8 +57,6 @@ class KeyRegistry {
   /// Creates keys for replicas [0, n) deterministically from `seed`.
   KeyRegistry(uint32_t n, uint64_t seed);
 
-  uint32_t num_replicas() const { return static_cast<uint32_t>(keys_.size()); }
-
   /// MAC for (signer, domain, digest). Internal: use Signer::Sign.
   Hash256 ComputeMac(ReplicaId signer, SignDomain domain, const Hash256& digest) const;
 

@@ -68,7 +68,6 @@ class Ledger {
   std::vector<ExecResult> CommitChain(const BlockPtr& target);
 
   const KvState& state() const { return state_; }
-  KvState& mutable_state() { return state_; }
 
   // --- stats -----------------------------------------------------------------
   uint64_t rollback_events() const { return rollback_events_; }

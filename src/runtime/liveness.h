@@ -86,8 +86,6 @@ class LivenessOracle {
     return violations_.empty() ? std::string() : violations_.front();
   }
   uint64_t events_observed() const { return events_; }
-  uint64_t threshold_k() const { return k_; }
-  SimTime threshold_grace() const { return grace_; }
 
   static constexpr size_t kMaxStoredViolations = 16;
 

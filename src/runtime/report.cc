@@ -61,41 +61,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-namespace {
-
-std::string JsonString(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
-
-}  // namespace
-
-void ReportTable::PrintCsv(std::ostream& os) const {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    os << (c == 0 ? "" : ",") << CsvEscape(columns_[c]);
-  }
-  os << "\n";
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) os << (c == 0 ? "" : ",") << CsvEscape(row[c]);
-    os << "\n";
-  }
-  os.flush();
-}
-
-void ReportTable::PrintJson(std::ostream& os) const {
-  os << "{\"caption\":" << JsonString(caption_) << ",\"columns\":[";
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    os << (c == 0 ? "" : ",") << JsonString(columns_[c]);
-  }
-  os << "],\"rows\":[";
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    os << (r == 0 ? "" : ",") << "\n  [";
-    for (size_t c = 0; c < rows_[r].size(); ++c) {
-      os << (c == 0 ? "" : ",") << JsonString(rows_[r][c]);
-    }
-    os << "]";
-  }
-  os << "\n]}\n";
-  os.flush();
-}
-
 std::string FormatTps(double tps) {
   char buf[32];
   if (tps >= 1e6) {

@@ -21,11 +21,6 @@ class ReportTable {
   void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
   void Print(std::ostream& os = std::cout) const;
 
-  /// Same data as Print(), one CSV line per row with a header line.
-  void PrintCsv(std::ostream& os = std::cout) const;
-  /// Same data as Print(), as {"caption":..., "columns":[...], "rows":[[...]]}.
-  void PrintJson(std::ostream& os = std::cout) const;
-
   const std::string& caption() const { return caption_; }
 
  private:

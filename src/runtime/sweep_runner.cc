@@ -133,8 +133,8 @@ std::vector<DiagColumn> DiagColumns(const std::vector<MetricSpec>& metrics) {
       {"safety_ok", [](const ExperimentResult& r) { return r.safety_ok ? "1" : "0"; }},
       {"event_cap_hit",
        [](const ExperimentResult& r) { return r.event_cap_hit ? "1" : "0"; }},
-      // liveness_violations sits BEFORE oracle_violations: CI awk gates
-      // address oracle_violations as the last field ($NF).
+      // liveness_violations stays before oracle_violations only so that the
+      // CSVs keep their bytes; CI gates look columns up by header name.
       {"liveness_violations",
        [](const ExperimentResult& r) {
          return std::to_string(r.liveness_violations);

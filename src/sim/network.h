@@ -145,7 +145,6 @@ class Network {
   /// Accounts `cost` of compute at node `id`, starting no earlier than now.
   /// Deliveries to a busy node are deferred until the CPU frees up.
   void ConsumeCpu(NodeId id, SimTime cost);
-  SimTime CpuBusyUntil(NodeId id) const { return cpu_busy_until_[id]; }
 
   // --- stats -----------------------------------------------------------------
   // Counters are kept per sender so concurrent shards never share a cache
