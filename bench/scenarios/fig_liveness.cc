@@ -37,8 +37,7 @@ ScenarioSpec FigLiveness() {
   // never stop; the adversary *declares* stabilization at exactly that
   // point. Every row shares the schedule — only the coalition size decides
   // whether the n-f Wish quorum survives it.
-  spec.base.strategy.entries.push_back(
-      {/*from_epoch=*/1, kEpochForever, kActWithhold, /*delay=*/0});
+  spec.base.strategy.entries.push_back({.from_epoch = 1, .actions = kActWithhold});
   spec.base.strategy.declared_gst = Millis(30);
   // The auto silence grace (>= 500ms) is sized for long runs; this window
   // ends at 190ms, so bound it explicitly.

@@ -85,6 +85,7 @@ enum StrategyAction : uint32_t {
 inline constexpr uint32_t kEpochForever = UINT32_MAX;
 
 /// One schedule row: `actions` are live during epochs [from_epoch, to_epoch).
+/// Every member has a default: {.actions = kActCrash} is "0-:crash".
 struct StrategyEntry {
   uint32_t from_epoch = 0;
   uint32_t to_epoch = kEpochForever;  // exclusive; kEpochForever = open-ended
@@ -92,9 +93,9 @@ struct StrategyEntry {
   SimTime delay = 0;  // only read when actions has kActDelay
   /// kActPartition: node groups isolated from each other (each group a
   /// sorted id list; nodes in no group communicate freely with everyone).
-  std::vector<std::vector<uint32_t>> partition;
+  std::vector<std::vector<uint32_t>> partition{};
   /// kActOutage: topology region indices cut off from the rest.
-  std::vector<uint32_t> outage_regions;
+  std::vector<uint32_t> outage_regions{};
   /// kActJitter: max extra delay as an integer percentage of base latency.
   uint32_t jitter_pct = 0;
 };
@@ -127,7 +128,7 @@ struct StrategySchedule {
   /// epoch. kActNone gives the empty schedule.
   static StrategySchedule Always(uint32_t actions) {
     StrategySchedule s;
-    if (actions != kActNone) s.entries.push_back({0, kEpochForever, actions});
+    if (actions != kActNone) s.entries.push_back({.actions = actions});
     return s;
   }
 
@@ -279,7 +280,8 @@ struct ConsensusConfig {
   /// pacemaker silently stops sending Wish messages after epoch 0, so view
   /// synchronization stalls at the first epoch boundary while every
   /// end-of-run safety check stays green. Only the online progress monitor
-  /// (runtime/liveness.h) catches it. Never enable outside tests.
+  /// (the oracle's liveness family, runtime/oracle.h) catches it. Never
+  /// enable outside tests.
   bool test_break_liveness = false;
   /// Test-only mutation hook for the oracle's *cross-reconfiguration*
   /// self-test: a replica that is voted out of the committee commits a

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "core/speculation.h"
 #include "sim/message_pool.h"
-#include "runtime/liveness.h"
 #include "runtime/oracle.h"
 
 namespace hotstuff1 {
@@ -29,7 +28,6 @@ ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
                 if (!crashed_) {
                   ++metrics_.views_entered;
                   if (oracle_) oracle_->OnViewEntered(id_, v);
-                  if (liveness_) liveness_->OnViewEntered(id_, v);
                   MaybeBreakReconfig(v);
                   if (!crashed_) OnEnterView(v);
                 }
@@ -288,7 +286,6 @@ void ReplicaBase::DeliverCommits(const std::vector<ExecResult>& committed) {
     ++metrics_.blocks_committed;
     metrics_.txns_committed += res.block->txns().size();
     if (oracle_) oracle_->OnBlockCommitted(id_, res.block);
-    if (liveness_) liveness_->OnBlockCommitted(id_, res.block);
     if (!res.was_speculated) {
       // Execution happened just now, at commit time; charge it.
       ChargeCpu(config_.costs.ExecCost(res.block->txns().size()));

@@ -24,7 +24,6 @@
 namespace hotstuff1 {
 
 class InvariantOracle;  // runtime/oracle.h
-class LivenessOracle;   // runtime/liveness.h
 
 class ReplicaBase {
  public:
@@ -49,16 +48,12 @@ class ReplicaBase {
 
   void SetAdversary(const AdversarySpec& spec) { adversary_ = spec; }
   const AdversarySpec& adversary() const { return adversary_; }
-  /// Attaches the online invariant oracle (null = disabled). The base class
-  /// reports views entered, certificates formed (CollectShare), commits,
-  /// speculative responses and rollbacks; the chained core adds the
-  /// equivocation campaigns it launches. Reporting is a pure observation and
-  /// never alters behaviour.
+  /// Attaches the online oracle (null = disabled). The base class reports
+  /// each view entered, certificate formed (CollectShare), commit,
+  /// speculative response and rollback once, for safety and liveness alike;
+  /// the chained core adds the equivocation campaigns it launches. Reporting
+  /// is a pure observation and never alters behaviour.
   void SetOracle(InvariantOracle* oracle) { oracle_ = oracle; }
-  /// Attaches the online liveness oracle (null = disabled). The base class
-  /// feeds it the same view-entry and commit events as the safety oracle;
-  /// like the safety oracle it is a pure observer.
-  void SetLivenessOracle(LivenessOracle* oracle) { liveness_ = oracle; }
   /// Marks the replica crashed: it stops processing and sending. (The
   /// network additionally drops its traffic when Network::Crash is used.)
   void SetCrashed() { crashed_ = true; }
@@ -225,7 +220,6 @@ class ReplicaBase {
   ReplicaMetrics metrics_;
   AdversarySpec adversary_;
   InvariantOracle* oracle_ = nullptr;
-  LivenessOracle* liveness_ = nullptr;
   bool crashed_ = false;
   /// Highest view this replica has timed out of (exitView() semantics:
   /// "disable voting for view v"). During epoch synchronization the

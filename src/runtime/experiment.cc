@@ -10,7 +10,6 @@
 #include "core/hotstuff1_slotted.h"
 #include "core/hotstuff1_streamlined.h"
 #include "runtime/config_schema.h"
-#include "runtime/liveness.h"
 #include "runtime/oracle.h"
 
 namespace hotstuff1 {
@@ -188,35 +187,28 @@ void Experiment::Setup() {
   plan_ = MakeAdversaryPlan(n, config_.num_faulty, config_.rollback_victims,
                             std::move(schedule));
 
+  const SimTime gst = plan_.schedule ? plan_.schedule->ResolvedGst() : 0;
   if (config_.oracle_enabled) {
     InvariantOracle::Setup os;
     os.n = n;
     os.faulty_mask = plan_.faulty_mask;
     os.victims = plan_.victims;  // the very mask the attacking leaders use
     os.committee = committee_;
+    os.gst = gst;
+    os.k = config_.liveness_k;
+    os.grace = config_.liveness_grace;
+    os.view_timer = config_.view_timer;
     os.config_summary = DescribeConfig(config_);
     oracle_ = std::make_unique<InvariantOracle>(sim_.get(), std::move(os));
     clients_->SetOracle(oracle_.get());
-
-    LivenessOracle::Setup ls;
-    ls.n = n;
-    ls.faulty_mask = plan_.faulty_mask;
-    ls.gst = plan_.schedule ? plan_.schedule->ResolvedGst() : 0;
-    ls.k = config_.liveness_k;
-    ls.grace = config_.liveness_grace;
-    ls.view_timer = config_.view_timer;
-    ls.config_summary = DescribeConfig(config_);
-    liveness_ = std::make_unique<LivenessOracle>(sim_.get(), std::move(ls));
-    net_->SetGstCallback([this]() { liveness_->OnGstReached(); });
   }
 
   // GST barrier event: scheduled whenever the schedule promises a concrete
-  // stabilization time, independent of the oracle toggle (the notification
-  // is a no-op without a registered callback), so enabling the oracle never
-  // changes the event stream it observes.
-  const SimTime gst = plan_.schedule ? plan_.schedule->ResolvedGst() : 0;
+  // stabilization time, whether or not the oracle is armed, so arming it
+  // never changes the event stream it observes. As a barrier it lands at one
+  // position in the serial event order under any executor shape.
   if (gst > 0 && gst < StrategySchedule::kGstNever) {
-    sim_->At(gst, [this]() { net_->NotifyGstReached(); });
+    sim_->At(gst, [this]() { if (oracle_) oracle_->OnGstReached(); });
   }
 
   // Timed network faults realize as Network fault rules, installed by
@@ -308,7 +300,6 @@ void Experiment::Setup() {
     state.Reserve(1 << 16);
     replicas_.push_back(MakeReplica(id, cc, std::move(state)));
     replicas_.back()->SetOracle(oracle_.get());
-    replicas_.back()->SetLivenessOracle(liveness_.get());
     const AdversarySpec spec = plan_.SpecFor(id);
     if (!spec.schedule) continue;
     if (spec.schedule->HasAction(kActCrash)) {
@@ -380,13 +371,13 @@ ExperimentResult Experiment::Run() {
   res.event_cap_hit = sim_->cap_hit();
   res.events_processed = sim_->EventsProcessed();
   if (oracle_) {
-    res.oracle_violations = oracle_->violations();
-    res.oracle_first_violation = oracle_->FirstDiagnostic();
-  }
-  if (liveness_) {
-    liveness_->Finalize(config_.warmup + config_.duration, sim_->cap_hit());
-    res.liveness_violations = liveness_->violations();
-    res.liveness_first_violation = liveness_->FirstDiagnostic();
+    oracle_->Finalize();
+    const auto& safety = oracle_->verdict(InvariantOracle::kSafety);
+    const auto& liveness = oracle_->verdict(InvariantOracle::kLiveness);
+    res.oracle_violations = safety.violations;
+    res.oracle_first_violation = safety.First();
+    res.liveness_violations = liveness.violations;
+    res.liveness_first_violation = liveness.First();
   }
   return res;
 }
@@ -428,17 +419,21 @@ ExperimentResult RunPaperPoint(const ExperimentConfig& config) {
   result.p50_latency_ms = lat.p50_latency_ms;
   result.p99_latency_ms = lat.p99_latency_ms;
   result.p999_latency_ms = lat.p999_latency_ms;
-  result.safety_ok = result.safety_ok && lat.safety_ok;
-  result.event_cap_hit = result.event_cap_hit || lat.event_cap_hit;
-  result.oracle_violations += lat.oracle_violations;
-  if (result.oracle_first_violation.empty()) {
-    result.oracle_first_violation = lat.oracle_first_violation;
-  }
-  result.liveness_violations += lat.liveness_violations;
-  if (result.liveness_first_violation.empty()) {
-    result.liveness_first_violation = lat.liveness_first_violation;
-  }
+  MergeVerdicts(lat, &result);
   return result;
+}
+
+void MergeVerdicts(const ExperimentResult& other, ExperimentResult* into) {
+  into->safety_ok = into->safety_ok && other.safety_ok;
+  into->event_cap_hit = into->event_cap_hit || other.event_cap_hit;
+  into->oracle_violations += other.oracle_violations;
+  if (into->oracle_first_violation.empty()) {
+    into->oracle_first_violation = other.oracle_first_violation;
+  }
+  into->liveness_violations += other.liveness_violations;
+  if (into->liveness_first_violation.empty()) {
+    into->liveness_first_violation = other.liveness_first_violation;
+  }
 }
 
 }  // namespace hotstuff1

@@ -20,7 +20,6 @@
 namespace hotstuff1 {
 
 class InvariantOracle;  // runtime/oracle.h
-class LivenessOracle;   // runtime/liveness.h
 
 enum class ProtocolKind {
   kHotStuff = 0,
@@ -105,8 +104,8 @@ struct ExperimentConfig {
   // id must be < n. An empty schedule is the static full committee.
   CommitteeSchedule reconfig;
 
-  // Liveness-oracle thresholds (runtime/liveness.h); 0 = auto. Only read
-  // when oracle_enabled.
+  // Thresholds of the oracle's liveness family (runtime/oracle.h); 0 = auto.
+  // Only read when oracle_enabled.
   uint64_t liveness_k = 0;
   SimTime liveness_grace = 0;
 
@@ -148,8 +147,8 @@ struct ExperimentConfig {
 
   // Arms the online invariant oracle (runtime/oracle.h): every protocol core
   // and the client pool report state transitions into it, and violations of
-  // the paper's safety claims fail the run with a (config, seed, event)
-  // diagnostic. Pure observer: enabling it never changes simulation results.
+  // the paper's safety and liveness claims fail the run with a (config, seed,
+  // event) diagnostic. Pure observer: enabling it never changes results.
   bool oracle_enabled = false;
 
   // Test-only mutation hook (see docs/ARCHITECTURE.md, "Mutation self-test"):
@@ -158,7 +157,7 @@ struct ExperimentConfig {
   bool test_break_safety = false;
   // Test-only mutation hook: stalls the pacemaker's epoch synchronization
   // after epoch 0 (see ConsensusConfig::test_break_liveness) to prove the
-  // liveness oracle's progress monitor fires. Never enable outside tests.
+  // oracle's liveness progress monitor fires. Never enable outside tests.
   bool test_break_liveness = false;
   // Test-only mutation hook: a replica voted out at an epoch boundary forges
   // a conflicting commit at its last height and halts (see
@@ -186,7 +185,9 @@ struct ExperimentResult {
   uint64_t views = 0;             // views entered at observer
   uint64_t slots = 0;             // total slots proposed (all replicas)
   uint64_t timeouts = 0;
-  uint64_t rollback_events = 0;   // across correct replicas
+  // Speculation-time rollbacks at correct replicas (ReplicaMetrics); the
+  // commit-time ones in ReplicaBase::TryCommit are not counted.
+  uint64_t rollback_events = 0;
   uint64_t blocks_rolled_back = 0;
   uint64_t rejects = 0;
   uint64_t messages_sent = 0;
@@ -202,12 +203,12 @@ struct ExperimentResult {
   // Simulator events executed during the whole run (setup + warmup +
   // measurement). Deterministic: identical at any jobs/sim-jobs/lookahead.
   uint64_t events_processed = 0;
-  // Online invariant-oracle verdict (0 and empty when the oracle is off or
-  // the run is clean). Deterministic: identical at any jobs/sim-jobs/lookahead.
+  // Online verdict of the oracle's safety family (0 and empty when it is off
+  // or the run is clean). Deterministic: identical at any jobs/sim-jobs/lookahead.
   uint64_t oracle_violations = 0;
   std::string oracle_first_violation;
-  // Online liveness-oracle verdict (runtime/liveness.h), same determinism
-  // contract as the safety oracle's fields above.
+  // Online verdict of the oracle's liveness family (runtime/oracle.h), same
+  // determinism contract as the safety family's fields above.
   uint64_t liveness_violations = 0;
   std::string liveness_first_violation;
 };
@@ -232,8 +233,6 @@ class Experiment {
   const ExperimentConfig& config() const { return config_; }
   /// Null unless config().oracle_enabled.
   InvariantOracle* oracle() { return oracle_.get(); }
-  /// Null unless config().oracle_enabled.
-  LivenessOracle* liveness_oracle() { return liveness_.get(); }
 
   /// Committed-prefix agreement across correct replicas (Theorem B.5 check).
   bool CheckSafety() const;
@@ -250,7 +249,6 @@ class Experiment {
   std::unique_ptr<Workload> workload_;
   std::unique_ptr<ClientPool> clients_;
   std::unique_ptr<InvariantOracle> oracle_;
-  std::unique_ptr<LivenessOracle> liveness_;
   std::shared_ptr<const CommitteeSchedule> committee_;  // resolved; null = static
   AdversaryPlan plan_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
@@ -266,6 +264,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 /// phase-count differences. Returns the saturation result with its latency
 /// fields replaced by the light-load measurements.
 ExperimentResult RunPaperPoint(const ExperimentConfig& config);
+
+/// Folds `other`'s verdicts into `into`: safety and the event cap, and both
+/// oracle families' counts (added) and first diagnostics (the earliest wins).
+void MergeVerdicts(const ExperimentResult& other, ExperimentResult* into);
 
 }  // namespace hotstuff1
 

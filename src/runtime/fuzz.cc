@@ -142,8 +142,7 @@ OverThresholdCase OverThresholdCaseFromSeed(uint64_t seed) {
       cfg.strategy = StrategySchedule::Always(kActCrash);
       c.label = std::string(ProtocolName(cfg.protocol)) + " crash>f";
     } else {
-      cfg.strategy.entries.push_back(
-          {/*from_epoch=*/0, kEpochForever, kActWithhold, /*delay=*/0});
+      cfg.strategy.entries.push_back({.actions = kActWithhold});
       cfg.strategy.declared_gst = Millis(30);
       c.label = std::string(ProtocolName(cfg.protocol)) + " withhold>f";
     }

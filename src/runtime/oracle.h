@@ -1,7 +1,8 @@
-// Online invariant oracle: a passive observer every protocol core and the
-// client pool report into at each state transition, checking the paper's
-// safety claims *while the run executes* instead of as an end-of-run prefix
-// comparison:
+// Online invariant oracle: the one passive observer every protocol core, the
+// client pool and the experiment's GST barrier event report into at each
+// state transition, checking the paper's claims *while the run executes*
+// instead of as an end-of-run prefix comparison. Its safety family (Thm B.5,
+// Cor B.10, Def 4.7):
 //
 //   * commit-conflict   - no two correct replicas commit different blocks at
 //                         the same height (Theorem B.5, online form);
@@ -24,10 +25,26 @@
 //   * view-monotonic    - views entered by a correct replica strictly
 //                         increase; formed certificates rank monotonically.
 //
+// Its liveness family is a progress monitor for Thm B.8 (after GST some
+// correct replica commits within k views), online where possible and with an
+// end-of-run silence check where the run stalls so hard that no further
+// events arrive to judge:
+//
+//   * liveness-stall   - correct replicas entered more than k views past the
+//                        last correct commit after GST (views churn, nothing
+//                        commits — e.g. leaders propose but certificates
+//                        never form);
+//   * liveness-silence - the run ended >= `grace` of virtual time after both
+//                        GST and the last correct commit (views stopped
+//                        entirely — e.g. an over-threshold coalition starves
+//                        the pacemaker's n-f Wish quorum, so epoch
+//                        synchronization never completes and no view-entry
+//                        events exist for the online check to see).
+//
 // A violation is reported immediately (HS1_LOG_ERROR) with a reproducible
-// `(config, seed, event)` diagnostic and counted into
-// ExperimentResult::oracle_violations, so a buggy run fails loudly instead
-// of emitting a silently wrong CSV row.
+// `(config, seed, event#, t)` diagnostic and counted into its family's
+// verdict (ExperimentResult::oracle_violations / liveness_violations), so a
+// buggy run fails loudly instead of emitting a silently wrong CSV row.
 //
 // Threading / determinism: oracle state is one shared domain in the
 // Simulator::SyncShared sense (docs/ARCHITECTURE.md, "Shared domains").
@@ -58,10 +75,22 @@ namespace hotstuff1 {
 
 class InvariantOracle {
  public:
+  /// The two families of claims the oracle judges; each keeps its own verdict.
+  enum Family { kSafety, kLiveness };
+
+  /// One family's verdict: every violation counts, and the first
+  /// kMaxStoredViolations full diagnostics are kept.
+  struct Verdict {
+    uint64_t violations = 0;
+    std::vector<std::string> log;
+    /// First diagnostic line, empty when clean.
+    std::string First() const { return log.empty() ? std::string() : log.front(); }
+  };
+
   /// What the oracle must know about the run to judge events: the committee,
   /// the adversary placement (faulty replicas are exempt from checks — they
-  /// may do anything), which correct replicas the rollback attack designates
-  /// as victims, and the (config, seed) pair for diagnostics.
+  /// may do anything), the rollback attack's designated victims, the liveness
+  /// promise (GST and thresholds), and the (config, seed) pair for diagnostics.
   struct Setup {
     uint32_t n = 0;
     std::shared_ptr<const std::vector<bool>> faulty_mask;  // null = all correct
@@ -77,6 +106,21 @@ class InvariantOracle {
     /// ever speaks for. End-of-run CheckSafety cannot see this (it skips
     /// crashed/out replicas); only this cross-epoch lattice can.
     std::shared_ptr<const CommitteeSchedule> committee;
+    /// Virtual time at which the network is promised to stabilize. 0 arms
+    /// the liveness family from the start (a synchronous run, or a schedule
+    /// with no interference such as "0-:slow"); StrategySchedule::kGstNever
+    /// (open-ended interference with no declared GST) leaves it inert:
+    /// nothing was promised, so nothing can be violated.
+    SimTime gst = 0;
+    /// Online threshold: flag when correct replicas enter more than k views
+    /// past the last correct commit (after GST). 0 = auto — conservative
+    /// enough that no legitimate short run can trip it (see oracle.cc).
+    uint64_t k = 0;
+    /// End-of-run threshold: flag when the run ends >= grace after both GST
+    /// and the last correct commit. 0 = auto (see oracle.cc).
+    SimTime grace = 0;
+    /// View timer tau; scales the auto grace threshold.
+    SimTime view_timer = 0;
     std::string config_summary;  // DescribeConfig repro, seed included
   };
 
@@ -85,7 +129,7 @@ class InvariantOracle {
   InvariantOracle(const InvariantOracle&) = delete;
   InvariantOracle& operator=(const InvariantOracle&) = delete;
 
-  // --- event API (called from replica / client-pool events) -------------------
+  // --- event API (called from replica / client-pool / GST barrier events) -----
   void OnViewEntered(ReplicaId replica, uint64_t view);
   void OnCertificateFormed(ReplicaId replica, const Certificate& cert);
   void OnBlockCommitted(ReplicaId replica, const BlockPtr& block);
@@ -104,15 +148,16 @@ class InvariantOracle {
   void OnRollback(ReplicaId replica, uint64_t blocks_rolled_back,
                   uint64_t conflict_view);
   void OnClientAccept(uint64_t txn_id, const Hash256& block_hash, bool speculative);
+  /// Fired by the experiment's GST barrier event, at Setup::gst.
+  void OnGstReached();
+
+  /// End-of-run silence check; call once, off the event loop, after the
+  /// simulator stopped at the run's end time. A cap-truncated run is skipped
+  /// (its silence says nothing about the protocol).
+  void Finalize();
 
   // --- results (read after the run, off the event loop) ------------------------
-  uint64_t violations() const { return violation_count_; }
-  /// First diagnostic line, empty when clean. At most kMaxStoredViolations
-  /// full diagnostics are retained; the count keeps growing past that.
-  const std::vector<std::string>& violation_log() const { return violations_; }
-  std::string FirstDiagnostic() const {
-    return violations_.empty() ? std::string() : violations_.front();
-  }
+  const Verdict& verdict(Family family) const { return verdicts_[family]; }
   /// Total events observed; tests use this to prove the plumbing is live.
   uint64_t events_observed() const { return events_; }
   /// The designated victim set rollbacks are judged against (null when the
@@ -138,9 +183,10 @@ class InvariantOracle {
     const uint32_t f = setup_.n > 0 ? (setup_.n - 1) / 3 : 0;
     return view / (f + 1);
   }
-  /// Formats, logs and stores one violation with the (config, seed, event)
-  /// diagnostic. Deterministic: every input derives from simulation state.
-  void Report(const char* invariant, const std::string& detail);
+  /// Formats, logs and stores one violation of `family` with the
+  /// (config, seed, event#, t) diagnostic. Deterministic: every input
+  /// derives from simulation state.
+  void Report(Family family, const char* invariant, const std::string& detail);
 
   /// Global commit lattice entry for one chain height.
   struct HeightEntry {
@@ -179,9 +225,20 @@ class InvariantOracle {
   std::unordered_set<Hash256, Hash256Hasher> certified_;
   std::unordered_map<Hash256, uint64_t, Hash256Hasher> height_of_;
 
+  // Liveness family state (Thm B.8).
+  uint64_t k_ = 0;            // resolved online threshold
+  SimTime grace_ = 0;         // resolved silence threshold
+  bool gst_reached_ = false;  // Thm B.8's clock runs from Setup::gst
+  /// Highest view any correct replica has entered.
+  uint64_t max_view_ = 0;
+  /// max_view_ at the last correct commit (or at GST); the online check
+  /// fires when max_view_ outruns this by more than k.
+  uint64_t progress_view_ = 0;
+  SimTime last_commit_time_ = 0;
+  bool finalized_ = false;
+
   uint64_t events_ = 0;
-  uint64_t violation_count_ = 0;
-  std::vector<std::string> violations_;
+  Verdict verdicts_[2];
 };
 
 }  // namespace hotstuff1

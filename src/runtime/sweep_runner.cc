@@ -15,46 +15,6 @@
 
 namespace hotstuff1 {
 
-bool SweepOutcome::AllSafe() const {
-  for (const ExperimentResult& r : results) {
-    if (!r.safety_ok) return false;
-  }
-  return true;
-}
-
-bool SweepOutcome::AnyCapHit() const {
-  for (const ExperimentResult& r : results) {
-    if (r.event_cap_hit) return true;
-  }
-  return false;
-}
-
-uint64_t SweepOutcome::TotalOracleViolations() const {
-  uint64_t total = 0;
-  for (const ExperimentResult& r : results) total += r.oracle_violations;
-  return total;
-}
-
-std::string SweepOutcome::FirstOracleDiagnostic() const {
-  for (const ExperimentResult& r : results) {
-    if (!r.oracle_first_violation.empty()) return r.oracle_first_violation;
-  }
-  return {};
-}
-
-uint64_t SweepOutcome::TotalLivenessViolations() const {
-  uint64_t total = 0;
-  for (const ExperimentResult& r : results) total += r.liveness_violations;
-  return total;
-}
-
-std::string SweepOutcome::FirstLivenessDiagnostic() const {
-  for (const ExperimentResult& r : results) {
-    if (!r.liveness_first_violation.empty()) return r.liveness_first_violation;
-  }
-  return {};
-}
-
 SweepOutcome SweepRunner::Run(const ScenarioSpec& spec, bool smoke) const {
   SweepOutcome outcome;
   outcome.spec = &spec;
@@ -321,7 +281,9 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
     case ReportFormat::kCsv: EmitCsv(outcome, os); break;
     case ReportFormat::kJson: EmitJson(outcome, os); break;
   }
-  if (outcome.AnyCapHit()) {
+  ExperimentResult total;  // the sweep's verdicts, merged in spec order
+  for (const ExperimentResult& r : outcome.results) MergeVerdicts(r, &total);
+  if (total.event_cap_hit) {
     std::cerr << "warning: scenario '" << spec.name
               << "' hit the simulator event cap; results are truncated\n";
   }
@@ -342,17 +304,17 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
     return code;
   }
   int code = 0;
-  if (const uint64_t v = outcome.TotalOracleViolations(); v > 0) {
+  if (const uint64_t v = total.oracle_violations; v > 0) {
     std::cerr << "ORACLE VIOLATION in scenario '" << spec.name << "' (" << v
-              << " total): " << outcome.FirstOracleDiagnostic() << "\n";
+              << " total): " << total.oracle_first_violation << "\n";
     code = 1;
   }
-  if (const uint64_t v = outcome.TotalLivenessViolations(); v > 0) {
+  if (const uint64_t v = total.liveness_violations; v > 0) {
     std::cerr << "LIVENESS VIOLATION in scenario '" << spec.name << "' (" << v
-              << " total): " << outcome.FirstLivenessDiagnostic() << "\n";
+              << " total): " << total.liveness_first_violation << "\n";
     code = 1;
   }
-  if (!outcome.AllSafe()) {
+  if (!total.safety_ok) {
     std::cerr << "SAFETY VIOLATION in scenario '" << spec.name << "'\n";
     code = 1;
   }

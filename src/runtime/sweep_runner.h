@@ -23,16 +23,6 @@ struct SweepOutcome {
   std::vector<ExperimentResult> results;
   /// Set instead of results when an override made a point unrunnable.
   std::string error;
-
-  bool AllSafe() const;
-  bool AnyCapHit() const;
-  /// Sum of invariant-oracle violations across points (0 when disabled).
-  uint64_t TotalOracleViolations() const;
-  /// First oracle diagnostic in spec order; empty when clean.
-  std::string FirstOracleDiagnostic() const;
-  /// Liveness-oracle counterparts of the two above.
-  uint64_t TotalLivenessViolations() const;
-  std::string FirstLivenessDiagnostic() const;
 };
 
 /// \brief Parallel executor for scenario sweeps.

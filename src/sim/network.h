@@ -129,18 +129,6 @@ class Network {
   void Recover(NodeId id);
   bool IsCrashed(NodeId id) const { return crashed_[id]; }
 
-  // --- GST signal ------------------------------------------------------------
-  /// Registers the observer notified when the network's Global Stabilization
-  /// Time passes (the liveness oracle, runtime/liveness.h). Setup-time only.
-  void SetGstCallback(std::function<void()> cb) { gst_callback_ = std::move(cb); }
-  /// Declares GST reached. Call only from an untagged (kShardSerial) barrier
-  /// event — the experiment schedules one at the adversary schedule's
-  /// resolved GST — so the notification lands at a deterministic position in
-  /// the serial event order regardless of executor shape.
-  void NotifyGstReached() {
-    if (gst_callback_) gst_callback_();
-  }
-
   // --- virtual CPU -----------------------------------------------------------
   /// Accounts `cost` of compute at node `id`, starting no earlier than now.
   /// Deliveries to a busy node are deferred until the CPU frees up.
@@ -187,7 +175,6 @@ class Network {
   std::vector<uint8_t> drain_scheduled_;
   std::vector<std::pair<int, FaultRule>> rules_;
   int next_rule_id_ = 0;
-  std::function<void()> gst_callback_;
 
   std::vector<uint64_t> messages_sent_by_;
   std::vector<uint64_t> bytes_sent_by_;

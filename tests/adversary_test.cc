@@ -188,7 +188,7 @@ TEST(StrategyScheduleTest, ParsesLeaderMisbehaviours) {
   // arming stay where the rest of the schedule puts them.
   s.epoch_length = 1000;
   for (const uint32_t action : {kActSlow, kActTailFork, kActCrash}) {
-    s.entries = {{0, kEpochForever, action}};
+    s.entries = {{.actions = action}};
     EXPECT_EQ(s.ResolvedGst(), 0) << action;
   }
 }

@@ -97,7 +97,7 @@ TEST(OracleMutation, InjectedEquivocationCommitIsDetected) {
   // violation log (alongside the spec/client contradictions it causes).
   ASSERT_NE(exp.oracle(), nullptr);
   bool saw_commit_conflict = false;
-  for (const std::string& v : exp.oracle()->violation_log()) {
+  for (const std::string& v : exp.oracle()->verdict(InvariantOracle::kSafety).log) {
     saw_commit_conflict =
         saw_commit_conflict || v.find("commit-conflict") != std::string::npos;
   }

@@ -1,6 +1,6 @@
-// Liveness oracle + adversary-library tests.
+// Liveness family of the oracle + adversary-library tests.
 //
-//   * LivenessOracle unit semantics: the online k-view stall detector, the
+//   * Liveness unit semantics: the online k-view stall detector, the
 //     end-of-run silence check, GST gating (pre-GST churn is free), and the
 //     skip conditions (cap-truncated runs, never-reached GST).
 //   * Rollback legality (Def. 4.7): a victim rollback must be justified by an
@@ -8,9 +8,11 @@
 //     conflicting view. The stale-epoch case is a regression test — before
 //     the campaign records existed, ANY victim rollback under the rollback
 //     attack passed, including ones no live campaign could explain.
+//   * Every unit case checks both families: one oracle judges both, so a
+//     liveness event must never move the safety verdict and vice versa.
 //   * Mutation self-test: the test_break_liveness hook breaks pacemaker epoch
 //     synchronization; only the progress monitor can see the resulting stall
-//     (the safety oracle stays silent — nothing unsafe ever happens).
+//     (the safety family stays silent — nothing unsafe ever happens).
 //   * Over-threshold tier: every OverThresholdCaseFromSeed tuple must trip
 //     exactly the oracle family it advertises.
 //   * Executor invariance: a liveness-violating strategy run produces
@@ -22,7 +24,6 @@
 #include "runtime/config_schema.h"
 #include "runtime/experiment.h"
 #include "runtime/fuzz.h"
-#include "runtime/liveness.h"
 #include "runtime/oracle.h"
 #include "sim/simulator.h"
 #include "tests/result_equality.h"
@@ -39,143 +40,176 @@ std::shared_ptr<const std::vector<bool>> Mask(uint32_t n,
   return mask;
 }
 
-// --- LivenessOracle unit semantics -------------------------------------------
+const InvariantOracle::Verdict& Safety(const InvariantOracle& oracle) {
+  return oracle.verdict(InvariantOracle::kSafety);
+}
+const InvariantOracle::Verdict& Liveness(const InvariantOracle& oracle) {
+  return oracle.verdict(InvariantOracle::kLiveness);
+}
 
-TEST(LivenessOracleTest, OnlineStallFiresAfterKViewsWithoutCommit) {
+// A replica's first commit: height 1 atop genesis. The safety family reads
+// the block, and an uncertified one is only judged at the next commit, so a
+// single commit of it is clean.
+BlockPtr FirstCommit() {
+  return std::make_shared<Block>(BlockId{1, 1}, Block::Genesis()->hash(), 1, 0,
+                                 std::vector<Transaction>{});
+}
+
+// --- liveness unit semantics ---------------------------------------------------
+
+TEST(LivenessFamilyTest, OnlineStallFiresAfterKViewsWithoutCommit) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.gst = 0;  // synchronous: armed from the start
   setup.k = 5;
   setup.grace = Millis(500);
-  LivenessOracle oracle(&sim, setup);
+  InvariantOracle oracle(&sim, setup);
 
   for (uint64_t v = 1; v <= 5; ++v) oracle.OnViewEntered(0, v);
-  EXPECT_EQ(oracle.violations(), 0u);  // exactly k views: still within budget
+  EXPECT_EQ(Liveness(oracle).violations, 0u);  // exactly k views: within budget
   oracle.OnViewEntered(0, 6);
-  EXPECT_EQ(oracle.violations(), 1u);
-  EXPECT_NE(oracle.FirstDiagnostic().find("liveness-stall"), std::string::npos)
-      << oracle.FirstDiagnostic();
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_NE(Liveness(oracle).First().find("liveness-stall"), std::string::npos)
+      << Liveness(oracle).First();
 
   // Re-armed: the next report needs k further views, not one.
   oracle.OnViewEntered(0, 7);
-  EXPECT_EQ(oracle.violations(), 1u);
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
   oracle.OnViewEntered(0, 12);
-  EXPECT_EQ(oracle.violations(), 2u);
+  EXPECT_EQ(Liveness(oracle).violations, 2u);
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
-TEST(LivenessOracleTest, CommitsAdvanceTheProgressBaseline) {
+TEST(LivenessFamilyTest, CommitsAdvanceTheProgressBaseline) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.k = 5;
-  LivenessOracle oracle(&sim, setup);
+  InvariantOracle oracle(&sim, setup);
 
   for (uint64_t v = 1; v <= 5; ++v) oracle.OnViewEntered(0, v);
-  oracle.OnBlockCommitted(0, nullptr);  // progress: baseline moves to view 5
+  oracle.OnBlockCommitted(0, FirstCommit());  // progress: baseline moves to view 5
   for (uint64_t v = 6; v <= 10; ++v) oracle.OnViewEntered(0, v);
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(Liveness(oracle).violations, 0u);
   oracle.OnViewEntered(0, 11);  // 11 > 5 + 5
-  EXPECT_EQ(oracle.violations(), 1u);
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
-TEST(LivenessOracleTest, FaultyReplicasDoNotCount) {
+TEST(LivenessFamilyTest, FaultyReplicasDoNotCount) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.k = 5;
   setup.faulty_mask = Mask(4, {3});
-  LivenessOracle oracle(&sim, setup);
+  InvariantOracle oracle(&sim, setup);
   // A Byzantine replica racing ahead in views proves nothing about correct
   // progress; its commits must not reset the baseline either.
   oracle.OnViewEntered(3, 100);
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(Liveness(oracle).violations, 0u);
   for (uint64_t v = 1; v <= 5; ++v) oracle.OnViewEntered(0, v);
-  oracle.OnBlockCommitted(3, nullptr);  // faulty commit: not progress
+  oracle.OnBlockCommitted(3, FirstCommit());  // faulty commit: not progress
   oracle.OnViewEntered(0, 6);
-  EXPECT_EQ(oracle.violations(), 1u);
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
-TEST(LivenessOracleTest, PreGstChurnIsFree) {
+TEST(LivenessFamilyTest, PreGstChurnIsFree) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.gst = Millis(10);  // barrier pending: monitor disarmed until notified
   setup.k = 5;
-  LivenessOracle oracle(&sim, setup);
+  InvariantOracle oracle(&sim, setup);
 
   // The adversary may burn arbitrarily many pre-GST views.
   for (uint64_t v = 1; v <= 50; ++v) oracle.OnViewEntered(0, v);
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(Liveness(oracle).violations, 0u);
 
   oracle.OnGstReached();  // Thm B.8's clock starts here, at view 50
   for (uint64_t v = 51; v <= 55; ++v) oracle.OnViewEntered(0, v);
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(Liveness(oracle).violations, 0u);
   oracle.OnViewEntered(0, 56);
-  EXPECT_EQ(oracle.violations(), 1u);
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
-TEST(LivenessOracleTest, SilenceFiresOnceAfterGrace) {
+TEST(LivenessFamilyTest, SilenceFiresOnceAfterGrace) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.grace = Millis(100);
-  LivenessOracle oracle(&sim, setup);
-  oracle.Finalize(Millis(100), /*event_cap_hit=*/false);
-  EXPECT_EQ(oracle.violations(), 1u);
-  EXPECT_NE(oracle.FirstDiagnostic().find("liveness-silence"), std::string::npos)
-      << oracle.FirstDiagnostic();
-  oracle.Finalize(Millis(100), false);  // idempotent
-  EXPECT_EQ(oracle.violations(), 1u);
+  InvariantOracle oracle(&sim, setup);
+  sim.RunUntil(Millis(100));  // the run ends here
+  oracle.Finalize();
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_NE(Liveness(oracle).First().find("liveness-silence"), std::string::npos)
+      << Liveness(oracle).First();
+  oracle.Finalize();  // idempotent
+  EXPECT_EQ(Liveness(oracle).violations, 1u);
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
-TEST(LivenessOracleTest, SilenceSkipsShortCappedAndPreGstRuns) {
+TEST(LivenessFamilyTest, SilenceSkipsShortCappedAndPreGstRuns) {
   {
     // Run shorter than the grace: silence proves nothing.
     Simulator sim;
-    LivenessOracle::Setup setup;
+    InvariantOracle::Setup setup;
     setup.n = 4;
     setup.grace = Millis(100);
-    LivenessOracle oracle(&sim, setup);
-    oracle.Finalize(Millis(99), false);
-    EXPECT_EQ(oracle.violations(), 0u);
+    InvariantOracle oracle(&sim, setup);
+    sim.RunUntil(Millis(99));
+    oracle.Finalize();
+    EXPECT_EQ(Liveness(oracle).violations, 0u);
+    EXPECT_EQ(Safety(oracle).violations, 0u);
   }
   {
     // Cap-truncated run: the simulator stopped, not the protocol.
     Simulator sim;
-    LivenessOracle::Setup setup;
+    sim.SetEventCap(1);
+    sim.At(Millis(1), [] {});
+    sim.At(Millis(2), [] {});  // past the cap: truncates the run
+    InvariantOracle::Setup setup;
     setup.n = 4;
     setup.grace = Millis(100);
-    LivenessOracle oracle(&sim, setup);
-    oracle.Finalize(Millis(500), /*event_cap_hit=*/true);
-    EXPECT_EQ(oracle.violations(), 0u);
+    InvariantOracle oracle(&sim, setup);
+    sim.RunUntil(Millis(500));
+    ASSERT_TRUE(sim.cap_hit());
+    oracle.Finalize();
+    EXPECT_EQ(Liveness(oracle).violations, 0u);
+    EXPECT_EQ(Safety(oracle).violations, 0u);
   }
   {
     // GST never arrived (open-ended interference): nothing was promised.
     Simulator sim;
-    LivenessOracle::Setup setup;
+    InvariantOracle::Setup setup;
     setup.n = 4;
     setup.gst = StrategySchedule::kGstNever;
     setup.grace = Millis(100);
-    LivenessOracle oracle(&sim, setup);
-    oracle.Finalize(Millis(500), false);
-    EXPECT_EQ(oracle.violations(), 0u);
+    InvariantOracle oracle(&sim, setup);
+    sim.RunUntil(Millis(500));
+    oracle.Finalize();
+    EXPECT_EQ(Liveness(oracle).violations, 0u);
+    EXPECT_EQ(Safety(oracle).violations, 0u);
   }
 }
 
-TEST(LivenessOracleTest, DiagnosticsCarryConfigAndSeed) {
+TEST(LivenessFamilyTest, DiagnosticsCarryConfigAndSeed) {
   Simulator sim;
-  LivenessOracle::Setup setup;
+  InvariantOracle::Setup setup;
   setup.n = 4;
   setup.grace = Millis(100);
   setup.config_summary = "--protocol=hotstuff1 --n=4 --seed=77";
-  LivenessOracle oracle(&sim, setup);
-  oracle.Finalize(Millis(200), false);
-  ASSERT_EQ(oracle.violations(), 1u);
-  const std::string diag = oracle.FirstDiagnostic();
+  InvariantOracle oracle(&sim, setup);
+  sim.RunUntil(Millis(200));
+  oracle.Finalize();
+  ASSERT_EQ(Liveness(oracle).violations, 1u);
+  const std::string diag = Liveness(oracle).First();
   EXPECT_NE(diag.find("--protocol=hotstuff1 --n=4"), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=77"), std::string::npos) << diag;
   EXPECT_NE(diag.find("event#"), std::string::npos) << diag;
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
 }
 
 // --- rollback legality (Def. 4.7) --------------------------------------------
@@ -195,7 +229,8 @@ TEST(RollbackLegalityTest, CampaignJustifiesAVictimRollback) {
   InvariantOracle oracle(&sim, RollbackSetup());
   oracle.OnEquivocationSent(/*leader=*/1, /*view=*/1);
   oracle.OnRollback(/*replica=*/0, 1, /*conflict_view=*/2);
-  EXPECT_EQ(oracle.violations(), 0u) << oracle.FirstDiagnostic();
+  EXPECT_EQ(Safety(oracle).violations, 0u) << Safety(oracle).First();
+  EXPECT_EQ(Liveness(oracle).violations, 0u) << Liveness(oracle).First();
 }
 
 TEST(RollbackLegalityTest, StaleEpochCampaignNoLongerJustifies) {
@@ -207,19 +242,21 @@ TEST(RollbackLegalityTest, StaleEpochCampaignNoLongerJustifies) {
   InvariantOracle oracle(&sim, RollbackSetup());
   oracle.OnEquivocationSent(1, /*view=*/1);  // epoch 0
   oracle.OnRollback(0, 1, /*conflict_view=*/12);  // epoch 4: > 2 epochs later
-  ASSERT_EQ(oracle.violations(), 1u);
-  EXPECT_NE(oracle.FirstDiagnostic().find("stale"), std::string::npos)
-      << oracle.FirstDiagnostic();
+  ASSERT_EQ(Safety(oracle).violations, 1u);
+  EXPECT_NE(Safety(oracle).First().find("stale"), std::string::npos)
+      << Safety(oracle).First();
+  EXPECT_EQ(Liveness(oracle).violations, 0u) << Liveness(oracle).First();
 }
 
 TEST(RollbackLegalityTest, NoCampaignMeansNoLegalRollback) {
   Simulator sim;
   InvariantOracle oracle(&sim, RollbackSetup());
   oracle.OnRollback(0, 1, /*conflict_view=*/2);
-  ASSERT_EQ(oracle.violations(), 1u);
-  EXPECT_NE(oracle.FirstDiagnostic().find("no outstanding misleading campaign"),
+  ASSERT_EQ(Safety(oracle).violations, 1u);
+  EXPECT_NE(Safety(oracle).First().find("no outstanding misleading campaign"),
             std::string::npos)
-      << oracle.FirstDiagnostic();
+      << Safety(oracle).First();
+  EXPECT_EQ(Liveness(oracle).violations, 0u) << Liveness(oracle).First();
 }
 
 TEST(RollbackLegalityTest, OneCampaignCannotLaunderTwoRollbacks) {
@@ -227,9 +264,10 @@ TEST(RollbackLegalityTest, OneCampaignCannotLaunderTwoRollbacks) {
   InvariantOracle oracle(&sim, RollbackSetup());
   oracle.OnEquivocationSent(1, /*view=*/4);
   oracle.OnRollback(0, 1, /*conflict_view=*/5);  // consumes the record
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(Safety(oracle).violations, 0u);
   oracle.OnRollback(0, 1, /*conflict_view=*/5);  // nothing left to justify it
-  EXPECT_EQ(oracle.violations(), 1u);
+  EXPECT_EQ(Safety(oracle).violations, 1u);
+  EXPECT_EQ(Liveness(oracle).violations, 0u) << Liveness(oracle).First();
 }
 
 TEST(RollbackLegalityTest, NonVictimRollbackStillFires) {
@@ -237,10 +275,11 @@ TEST(RollbackLegalityTest, NonVictimRollbackStillFires) {
   InvariantOracle oracle(&sim, RollbackSetup());
   oracle.OnEquivocationSent(1, /*view=*/1);
   oracle.OnRollback(/*replica=*/3, 1, /*conflict_view=*/2);
-  ASSERT_EQ(oracle.violations(), 1u);
-  EXPECT_NE(oracle.FirstDiagnostic().find("not a designated victim"),
+  ASSERT_EQ(Safety(oracle).violations, 1u);
+  EXPECT_NE(Safety(oracle).First().find("not a designated victim"),
             std::string::npos)
-      << oracle.FirstDiagnostic();
+      << Safety(oracle).First();
+  EXPECT_EQ(Liveness(oracle).violations, 0u) << Liveness(oracle).First();
 }
 
 // --- mutation self-test --------------------------------------------------------
@@ -273,7 +312,7 @@ TEST(LivenessMutation, BrokenEpochSyncIsCaughtOnlyByTheProgressMonitor) {
   // The injected pacemaker bug: replicas stop broadcasting epoch Wishes past
   // the genesis epoch, so no timeout certificate ever forms and views stop.
   // Nothing unsafe happens — no equivocation, no illegal rollback — so the
-  // safety oracle must stay silent while the liveness oracle reports the
+  // safety family must stay silent while the liveness family reports the
   // broken Thm B.8 promise with a reproducible diagnostic.
   ExperimentConfig cfg = StallMutationConfig();
   cfg.test_break_liveness = true;
@@ -288,8 +327,8 @@ TEST(LivenessMutation, BrokenEpochSyncIsCaughtOnlyByTheProgressMonitor) {
   EXPECT_NE(diag.find("liveness"), std::string::npos) << diag;
   EXPECT_NE(diag.find("n=7"), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=9"), std::string::npos) << diag;
-  ASSERT_NE(exp.liveness_oracle(), nullptr);
-  EXPECT_GT(exp.liveness_oracle()->events_observed(), 0u);
+  ASSERT_NE(exp.oracle(), nullptr);
+  EXPECT_GT(exp.oracle()->events_observed(), 0u);
 }
 
 // --- over-threshold tier -------------------------------------------------------
@@ -331,7 +370,7 @@ ExperimentConfig StallStrategyConfig() {
   cfg.warmup = Millis(40);
   cfg.seed = 11;
   cfg.num_faulty = 3;
-  cfg.strategy.entries.push_back({1, kEpochForever, kActWithhold, 0});
+  cfg.strategy.entries.push_back({.from_epoch = 1, .actions = kActWithhold});
   cfg.strategy.declared_gst = Millis(30);
   cfg.liveness_grace = Millis(60);
   cfg.oracle_enabled = true;
@@ -348,14 +387,15 @@ TEST(LivenessDeterminism, ViolatingStrategyRunIsExecutorInvariant) {
   ExpectWindowedRunsMatchSerial(cfg, serial);
 }
 
-// Arming the oracles must not change the run: the GST barrier event is
+// Arming the oracle must not change the run: the GST barrier event is
 // scheduled whether or not anyone listens, so enabling the monitor only adds
-// observation, never behaviour.
+// observation, never behaviour. Equal event counts pin the barrier itself.
 TEST(LivenessDeterminism, EnablingOraclesDoesNotPerturbAStrategyRun) {
   ExperimentConfig cfg = StallStrategyConfig();
   const ExperimentResult with_oracle = RunExperiment(cfg);
   cfg.oracle_enabled = false;
   const ExperimentResult without = RunExperiment(cfg);
+  EXPECT_EQ(with_oracle.events_processed, without.events_processed);
   EXPECT_EQ(with_oracle.accepted, without.accepted);
   EXPECT_EQ(with_oracle.committed_blocks, without.committed_blocks);
   EXPECT_EQ(with_oracle.views, without.views);

@@ -174,7 +174,7 @@ TEST_F(VotePathTest, OracleSeesEachFormedCertificateOnce) {
     }
   }
   EXPECT_EQ(formed, 3u);
-  EXPECT_EQ(oracle.violations(), 0u);
+  EXPECT_EQ(oracle.verdict(InvariantOracle::kSafety).violations, 0u);
 }
 
 TEST_F(VotePathTest, SharesReachTheLeaderAndVerifyThere) {
