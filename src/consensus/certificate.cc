@@ -53,10 +53,12 @@ Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum) const {
     }
     return Status::OK();
   }
-  const Hash256 digest =
-      VoteDigest(kind_, ShareContextView(kind_, block_id_.view, formed_view_),
-                 block_id_, block_hash_);
-  return registry.VerifyQuorum(sigs_, DomainFor(kind_), digest, quorum);
+  return Verify(registry, quorum, SharesDigest());
+}
+
+Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum,
+                           const Hash256& shares_digest) const {
+  return registry.VerifyQuorum(sigs_, DomainFor(kind_), shares_digest, quorum);
 }
 
 std::string Certificate::ToString() const {

@@ -90,9 +90,19 @@ class Certificate {
     return block_id_ <= other.block_id_;
   }
 
+  /// The vote digest every share in this certificate signs.
+  Hash256 SharesDigest() const {
+    return VoteDigest(kind_, ShareContextView(kind_, block_id_.view, formed_view_),
+                      block_id_, block_hash_);
+  }
+
   /// Full verification: quorum size, signer distinctness, signature validity
   /// over the reconstructed vote digest. Genesis verifies trivially.
   Status Verify(const KeyRegistry& registry, uint32_t quorum) const;
+  /// As above for a non-genesis certificate whose SharesDigest() the caller
+  /// already holds.
+  Status Verify(const KeyRegistry& registry, uint32_t quorum,
+                const Hash256& shares_digest) const;
 
   /// Wire bytes: a 64-byte header (kind, block id, hashes, formed view) plus
   /// the authenticator section, whose size the scheme decides — the share
@@ -125,6 +135,7 @@ class VoteAccumulator {
         context_view_(context_view),
         block_id_(block_id),
         block_hash_(block_hash),
+        digest_(VoteDigest(kind, context_view, block_id, block_hash)),
         quorum_(quorum) {}
 
   /// Adds a share if the signer is new. Returns true when the quorum is
@@ -143,12 +154,15 @@ class VoteAccumulator {
   uint64_t context_view() const { return context_view_; }
   const Hash256& block_hash() const { return block_hash_; }
   const BlockId& block_id() const { return block_id_; }
+  /// The VoteDigest every share this accumulator takes must sign.
+  const Hash256& digest() const { return digest_; }
 
  private:
   CertKind kind_;
   uint64_t context_view_;
   BlockId block_id_;
   Hash256 block_hash_;
+  Hash256 digest_;
   uint32_t quorum_;
   ReplicaSet signers_;  // O(1) duplicate-signer rejection at any committee size
   std::vector<Signature> sigs_;

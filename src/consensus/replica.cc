@@ -201,8 +201,8 @@ void ReplicaBase::SendVote(CertKind kind, const Block& block,
 
 std::optional<Certificate> ReplicaBase::CollectShare(VoteAccumulator& acc,
                                                      const Signature& share) {
-  if (!CheckVote(acc.kind(), acc.context_view(), acc.block_id(), acc.block_hash(),
-                 share) ||
+  ChargeCpu(config_.costs.verify_us);
+  if (!registry_->Verify(share, DomainFor(acc.kind()), acc.digest()) ||
       !acc.Add(share)) {
     return std::nullopt;
   }
@@ -253,13 +253,11 @@ std::shared_ptr<ProposeMsg> ReplicaBase::ProposeBlock(const BlockId& id,
 
 bool ReplicaBase::CheckCert(const Certificate& cert) {
   if (cert.IsGenesis()) return true;
-  const Hash256 key = VoteDigest(
-      cert.kind(), ShareContextView(cert.kind(), cert.view(), cert.formed_view()),
-      cert.block_id(), cert.block_hash());
+  const Hash256 key = cert.SharesDigest();
   if (verified_certs_.count(key)) return true;
   ChargeCpu(config_.costs.verify_us * static_cast<SimTime>(cert.sigs().size()));
   const Status st = cert.Verify(
-      *registry_, ShareQuorum(cert.kind(), cert.view(), cert.formed_view()));
+      *registry_, ShareQuorum(cert.kind(), cert.view(), cert.formed_view()), key);
   if (!st.ok()) {
     HS1_LOG_WARN() << "replica " << id_ << ": bad certificate " << cert.ToString()
                    << ": " << st;

@@ -105,11 +105,12 @@ class ReplicaBase {
   /// reports the voter's highest certificate.
   void SendVote(CertKind kind, const Block& block,
                 const Certificate& high_cert = Certificate());
-  /// Verifies `share` against the vote `acc` tallies (charging one
-  /// verification) and adds it. On the share that completes the quorum,
-  /// builds the certificate, formed in the view the shares were cast in
-  /// (`acc.context_view()`), reports it to the oracle and returns it;
-  /// otherwise returns nothing. Every certificate in the program forms here.
+  /// Verifies `share` against `acc.digest()`, the vote digest computed once
+  /// per accumulator (charging one verification), and adds it. On the share
+  /// that completes the quorum, builds the certificate, formed in the view
+  /// the shares were cast in (`acc.context_view()`), reports it to the
+  /// oracle and returns it; otherwise returns nothing. Every certificate in
+  /// the program forms here.
   std::optional<Certificate> CollectShare(VoteAccumulator& acc,
                                           const Signature& share);
   /// A leader's tally of the shares NewView messages carry for one target

@@ -1,5 +1,12 @@
 // FIPS 180-4 SHA-256, implemented from scratch (no OpenSSL dependency).
 // Used for block hashing, signature MACs, and workload key derivation.
+//
+// Whole 64-byte blocks go to one of two compression kernels, chosen once from
+// CPUID (crypto/sha256_kernels.h): an x86 SHA-NI kernel where the CPU has SHA
+// extensions, else a portable loop, which is also the reference the tests
+// check the other against. Both produce the same bytes. How fast the host
+// hashes never reaches virtual time: replicas charge CostModel's sign_us and
+// verify_us instead.
 
 #ifndef HOTSTUFF1_CRYPTO_SHA256_H_
 #define HOTSTUFF1_CRYPTO_SHA256_H_
@@ -62,8 +69,8 @@ class Sha256 {
     Update(buf, 8);
   }
 
-  /// Finalizes and returns the digest. The context must be Reset() before
-  /// reuse.
+  /// Pads, finalizes and returns the digest. The context must be Reset()
+  /// before reuse.
   Hash256 Finish();
 
   /// One-shot helpers.
@@ -72,11 +79,14 @@ class Sha256 {
   static Hash256 Digest(const Bytes& b) { return Digest(b.data(), b.size()); }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  /// Compresses `count` whole 64-byte blocks into the state.
+  void ProcessBlocks(const uint8_t* data, size_t count);
 
   uint32_t h_[8];
   uint64_t total_len_ = 0;
-  uint8_t buffer_[64];
+  /// Input short of a whole block in the first 64 bytes; Finish pads into
+  /// the second block when the first has no room for the length.
+  uint8_t buffer_[128];
   size_t buffer_len_ = 0;
 };
 

@@ -1,10 +1,13 @@
 #include "crypto/signer.h"
 
-#include <unordered_set>
+#include "common/logging.h"
+#include "common/replica_set.h"
 
 namespace hotstuff1 {
 
 KeyRegistry::KeyRegistry(uint32_t n, uint64_t seed) {
+  // VerifyQuorum tracks signers in a ReplicaSet, so every key id must fit.
+  HS1_CHECK_LE(n, ReplicaSet::kCapacity) << "more keys than ReplicaSet holds";
   keys_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Sha256 ctx;
@@ -39,16 +42,17 @@ Status KeyRegistry::VerifyQuorum(const std::vector<Signature>& sigs,
                                    std::to_string(sigs.size()) + ", need " +
                                    std::to_string(quorum));
   }
-  std::unordered_set<ReplicaId> seen;
-  seen.reserve(sigs.size());
+  ReplicaSet seen;
   for (const Signature& sig : sigs) {
-    if (!seen.insert(sig.signer).second) {
-      return Status::Unauthenticated("duplicate signer " + std::to_string(sig.signer));
-    }
+    // Verify rejects an id without a key, so only ids below n reach the set.
     if (!Verify(sig, domain, digest)) {
       return Status::Unauthenticated("invalid signature from replica " +
                                      std::to_string(sig.signer));
     }
+    if (seen.Test(sig.signer)) {
+      return Status::Unauthenticated("duplicate signer " + std::to_string(sig.signer));
+    }
+    seen.Set(sig.signer);
   }
   return Status::OK();
 }

@@ -1,11 +1,17 @@
-// SHA-256 against FIPS 180-4 / NIST test vectors, plus the signature
-// substrate's unforgeability-relevant behaviours.
+// SHA-256 against FIPS 180-4 / NIST test vectors and across its compression
+// kernels, plus the signature substrate's unforgeability-relevant behaviours.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iostream>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "common/replica_set.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 
 namespace hotstuff1 {
@@ -78,6 +84,84 @@ TEST(Sha256Test, UpdateU64IsLittleEndian) {
   EXPECT_EQ(a.Finish(), b.Finish());
 }
 
+// --- Compression kernels ----------------------------------------------------------
+
+using sha256_kernels::Kernel;
+
+// SHA-256 of `msg` through `kernel` alone, independent of Sha256's buffering
+// and padding: the test pads the message itself and hands the kernel runs of
+// one to three whole blocks, so state carries across calls.
+std::string DigestWith(Kernel kernel, const std::string& msg, std::mt19937* rng) {
+  std::vector<uint8_t> padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (size_t done = 0, total = padded.size() / 64; done < total;) {
+    const size_t run = std::min<size_t>(total - done, 1 + (*rng)() % 3);
+    kernel(state, padded.data() + 64 * done, run);
+    done += run;
+  }
+  Hash256 out;
+  for (int i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out.ToHex();
+}
+
+// Random messages of 0-1,100 bytes, plus the lengths around the padding and
+// block boundaries.
+std::vector<std::string> KernelTestMessages() {
+  std::vector<size_t> lengths = {0, 55, 56, 57, 63, 64, 65, 119, 120, 1100};
+  std::mt19937 rng(24);
+  for (int i = 0; i < 400; ++i) lengths.push_back(rng() % 1101);
+  std::vector<std::string> msgs;
+  for (size_t len : lengths) {
+    std::string m(len, '\0');
+    for (char& c : m) c = static_cast<char>(rng());
+    msgs.push_back(std::move(m));
+  }
+  return msgs;
+}
+
+TEST(Sha256KernelTest, ChunkedUpdatesMatchPortableKernel) {
+  const Kernel active = sha256_kernels::ActiveKernel();
+  std::cout << "[ kernels  ] Sha256 runs the "
+            << (active == sha256_kernels::CompressPortable ? "portable" : "SHA-NI")
+            << " kernel; reference: portable\n";
+  std::mt19937 rng(7);
+  ASSERT_EQ(DigestWith(sha256_kernels::CompressPortable, "abc", &rng),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (const std::string& msg : KernelTestMessages()) {
+    const std::string expected = DigestWith(sha256_kernels::CompressPortable, msg, &rng);
+    EXPECT_EQ(Sha256::Digest(msg).ToHex(), expected) << msg.size();
+    Sha256 chunked;
+    for (size_t at = 0; at < msg.size();) {
+      const size_t take = std::min<size_t>(msg.size() - at, 1 + rng() % 70);
+      chunked.Update(msg.data() + at, take);
+      at += take;
+    }
+    EXPECT_EQ(chunked.Finish().ToHex(), expected) << msg.size();
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableKernel) {
+  const Kernel sha_ni = sha256_kernels::ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "no SHA extensions on this CPU (CPUID): SHA-NI kernel not tested";
+  }
+  std::cout << "[ kernels  ] SHA-NI checked against portable\n";
+  EXPECT_EQ(sha256_kernels::ActiveKernel(), sha_ni);
+  std::mt19937 rng(11);
+  for (const std::string& msg : KernelTestMessages()) {
+    EXPECT_EQ(DigestWith(sha_ni, msg, &rng),
+              DigestWith(sha256_kernels::CompressPortable, msg, &rng))
+        << msg.size();
+  }
+}
+
 // --- Hash256 ---------------------------------------------------------------------
 
 TEST(Hash256Test, ZeroDetection) {
@@ -106,6 +190,17 @@ TEST(SignerTest, SignVerifyRoundTrip) {
   const Signature sig = signer.Sign(SignDomain::kProposeVote, digest);
   EXPECT_EQ(sig.signer, 2u);
   EXPECT_TRUE(registry.Verify(sig, SignDomain::kProposeVote, digest));
+}
+
+// MAC = SHA256(key || domain || digest) with key = SHA256("hs1-keygen" ||
+// seed || id), integers little-endian, pinned byte for byte. Python's hashlib
+// gives the same value.
+TEST(SignerTest, MacKnownAnswer) {
+  KeyRegistry registry(4, /*seed=*/1);
+  const Signature sig =
+      Signer(&registry, 2).Sign(SignDomain::kProposeVote, Sha256::Digest("vote payload"));
+  EXPECT_EQ(sig.mac.ToHex(),
+            "a0c22b62e79d3a97068b38bfbe3fe06d743c04e9ebabe0c0f947c4bad8f54ff1");
 }
 
 TEST(SignerTest, WrongDomainRejected) {
@@ -171,6 +266,18 @@ TEST(SignerTest, QuorumVerification) {
   bad[1].mac.bytes[0] ^= 0xff;
   EXPECT_TRUE(registry.VerifyQuorum(bad, SignDomain::kProposeVote, digest, quorum)
                   .IsUnauthenticated());
+
+  // A signer id with no key is an invalid signature, never a lookup: past n,
+  // and past what a ReplicaSet holds.
+  for (const ReplicaId stray_id : {n, ReplicaSet::kCapacity}) {
+    std::vector<Signature> stray = sigs;
+    stray[2].signer = stray_id;
+    const Status st =
+        registry.VerifyQuorum(stray, SignDomain::kProposeVote, digest, quorum);
+    EXPECT_TRUE(st.IsUnauthenticated()) << stray_id;
+    EXPECT_NE(st.message().find("invalid signature from replica"), std::string::npos)
+        << st;
+  }
 }
 
 }  // namespace
