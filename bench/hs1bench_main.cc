@@ -14,9 +14,9 @@ namespace {
 
 constexpr char kIntro[] = R"(hs1bench - registry-driven benchmark harness
 
-Runs the scenarios named by --scenario, positional arguments or --all.
-Scenario durations honor the H1_DURATION_MS environment override. Unknown
-flags and malformed or out-of-range values exit 2.
+Runs the scenarios named by --scenario, positional arguments or --all, and
+exits 1 when a scenario's own claims fail. Unknown flags and malformed or
+out-of-range values exit 2.
 )";
 
 }  // namespace

@@ -6,7 +6,6 @@
 //  3. Fixed vs adaptive slot counts under slow leaders - why "adaptive".
 //  4. Trusted-previous-leader fast path on/off (§6.3).
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -21,7 +20,7 @@ ScenarioSpec Ablation() {
 
   spec.base.n = 16;
   spec.base.batch_size = 100;
-  spec.base.duration = BenchDuration(1200);
+  spec.base.duration = Millis(1200);
   spec.base.warmup = Millis(300);
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);

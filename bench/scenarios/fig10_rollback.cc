@@ -8,7 +8,6 @@
 // slotting is minimally affected (a faulty leader can only force rollbacks
 // of the preceding view's final slot).
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -27,7 +26,7 @@ ScenarioSpec Fig10Rollback() {
   spec.base.rollback_victims = 10;  // up to f correct replicas per attack
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);
-  spec.base.duration = BenchDuration(1500);
+  spec.base.duration = Millis(1500);
   spec.base.warmup = Millis(300);
   spec.base.seed = 2024;
   // Safety valve for the long-running fault sweeps: a full point processes

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -35,7 +34,7 @@ ScenarioSpec Fig10Slowness() {
     spec.tables.push_back({timer_ms == 10.0 ? "10ms" : "100ms",
                            [timer_ms](ExperimentConfig& c) {
                              c.view_timer = Millis(timer_ms);
-                             c.duration = std::max<SimTime>(BenchDuration(1500),
+                             c.duration = std::max<SimTime>(Millis(1500),
                                                             25 * c.view_timer);
                              c.warmup =
                                  std::max<SimTime>(Millis(300), 4 * c.view_timer);

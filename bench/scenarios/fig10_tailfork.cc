@@ -8,7 +8,6 @@
 // carry-block mechanism means a faulty leader can suppress at most the
 // final slot of the previous view (§6.2).
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -26,7 +25,7 @@ ScenarioSpec Fig10TailFork() {
   spec.base.strategy = StrategySchedule::Always(kActTailFork);  // "0-:tailfork"
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);
-  spec.base.duration = BenchDuration(1500);
+  spec.base.duration = Millis(1500);
   spec.base.warmup = Millis(300);
   spec.base.seed = 2024;
   // Safety valve for the long-running fault sweeps (see fig10_rollback).

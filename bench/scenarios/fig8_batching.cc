@@ -5,7 +5,6 @@
 // overheads amortize, then tapers as replicas become compute-bound around
 // batch ~5000; latency grows with batch size throughout.
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -19,7 +18,7 @@ ScenarioSpec Fig8Batching() {
   spec.row_name = "batch";
 
   spec.base.n = 32;
-  spec.base.duration = BenchDuration(600);
+  spec.base.duration = Millis(600);
   spec.base.warmup = Millis(300);
   spec.base.seed = 2024;
 

@@ -7,9 +7,6 @@
 // workloads show the same trend; HotStuff-1 keeps the lowest latency at
 // unchanged throughput.
 
-#include <algorithm>
-
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -26,7 +23,7 @@ ScenarioSpec Fig8Geo() {
   spec.base.n = 32;
   spec.base.batch_size = 100;
   spec.base.client_region = sim::kNorthVirginia;
-  spec.base.duration = std::max<SimTime>(BenchDuration(1500) * 8, Seconds(10));
+  spec.base.duration = Seconds(12);
   spec.base.warmup = Seconds(2);
   spec.base.view_timer = Millis(1200);
   spec.base.delta = Millis(160);

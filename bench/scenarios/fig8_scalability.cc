@@ -5,7 +5,6 @@
 // decays ~O(n); HotStuff-1 (with and without slotting) has the lowest
 // latency - roughly 40% below HotStuff and 25% below HotStuff-2.
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -19,7 +18,7 @@ ScenarioSpec Fig8Scalability() {
   spec.row_name = "n";
 
   spec.base.batch_size = 100;
-  spec.base.duration = BenchDuration(800);
+  spec.base.duration = Millis(800);
   spec.base.warmup = Millis(200);
   spec.base.view_timer = Millis(10);
   spec.base.delta = Millis(1);

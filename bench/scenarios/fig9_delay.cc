@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -49,9 +48,9 @@ ScenarioSpec Fig9Delay() {
       // round trip.
       const bool slow_regime = k > 10;
       c.duration = slow_regime
-                       ? std::max<SimTime>(BenchDuration(1200),
+                       ? std::max<SimTime>(Millis(1200),
                                            14 * (2 * c.inject_delay + Millis(20)))
-                       : BenchDuration(1200);
+                       : Millis(1200);
       c.warmup = slow_regime
                      ? std::max<SimTime>(Millis(300),
                                          3 * (2 * c.inject_delay + Millis(20)))

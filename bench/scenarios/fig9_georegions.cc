@@ -8,7 +8,6 @@
 // outperforms k >= n-f because most leaders are co-located with the
 // clients. HotStuff-1 with slotting wins at the extremes.
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -34,7 +33,7 @@ ScenarioSpec Fig9GeoRegions() {
       // k <= f and k >= n-f run at intra-region speed (short window is
       // plenty); the trans-atlantic regime needs enough ~76ms views.
       const bool slow_regime = k > 10 && k < 21;
-      c.duration = slow_regime ? Seconds(6) : BenchDuration(1500);
+      c.duration = slow_regime ? Seconds(6) : Millis(1500);
       c.warmup = slow_regime ? Seconds(1.5) : Millis(400);
     }});
   }

@@ -13,19 +13,38 @@
 // HotStuff-1 — the scheme story is protocol-independent and one core keeps
 // the sweep cheap at n = 512. docs/cost-model.md derives the formulas.
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
 namespace {
 
-MetricSpec WireBytesPerBlockMetric() {
-  return CountMetric("wire_bytes_per_block", [](const ExperimentResult& r) {
-    return r.committed_blocks == 0
-               ? 0.0
-               : static_cast<double>(r.bytes_sent) /
-                     static_cast<double>(r.committed_blocks);
-  });
+double WireBytesPerBlock(const ExperimentResult& r) {
+  return r.committed_blocks == 0 ? 0.0
+                                 : static_cast<double>(r.bytes_sent) /
+                                       static_cast<double>(r.committed_blocks);
+}
+
+// Every point commits, and the crossover shows in the data: at n = 512 the
+// vector certificates cost more than ten times the aggregate encoding's
+// wire bytes per block.
+std::vector<std::string> CrossoverJudge(const std::vector<SweepPoint>& points,
+                                        const std::vector<ExperimentResult>& results) {
+  std::vector<std::string> failures = EveryPointAccepts(points, results);
+  double vector = 0, aggregate = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const ExperimentConfig& c = points[i].config;
+    if (c.n != 512) continue;
+    if (c.cert_scheme == CertScheme::kMultisigVector) vector = WireBytesPerBlock(results[i]);
+    if (c.cert_scheme == CertScheme::kAggregate) aggregate = WireBytesPerBlock(results[i]);
+  }
+  if (!(aggregate > 0 && vector > 10 * aggregate)) {
+    failures.push_back("at n=512 vector certificates cost " +
+                       std::to_string(static_cast<uint64_t>(vector)) +
+                       " wire bytes/block against " +
+                       std::to_string(static_cast<uint64_t>(aggregate)) +
+                       " for aggregate; the claim is more than 10x, aggregate > 0");
+  }
+  return failures;
 }
 
 ScenarioSpec FigCertSize() {
@@ -40,7 +59,7 @@ ScenarioSpec FigCertSize() {
 
   spec.base.protocol = ProtocolKind::kHotStuff1;
   spec.base.batch_size = 100;
-  spec.base.duration = BenchDuration(400);
+  spec.base.duration = Millis(400);
   spec.base.warmup = Millis(150);
   spec.base.seed = 2024;
   spec.mode = RunMode::kSingle;
@@ -64,7 +83,8 @@ ScenarioSpec FigCertSize() {
                            c.cert_scheme = scheme;
                          }});
   }
-  spec.metrics = {WireBytesPerBlockMetric(), ThroughputMetric()};
+  spec.metrics = {CountMetric("wire_bytes_per_block", WireBytesPerBlock),
+                  ThroughputMetric()};
   // Smoke keeps the endpoints (n = 32 and 512) for all three schemes; the
   // n = 512 epoch-0 sync needs more than the default 120 ms window (see
   // fig8_scalability_xl).
@@ -73,6 +93,7 @@ ScenarioSpec FigCertSize() {
     c.warmup = Millis(60);
     c.num_clients = 2 * c.batch_size;
   };
+  spec.judge = CrossoverJudge;
   return spec;
 }
 

@@ -7,11 +7,10 @@
 // (config, seed, event#, t) diagnostics as a safety violation.
 //
 // This scenario *expects* violations on its over-threshold rows, so it
-// carries a point_judge: the exit code asserts that exactly the rows past
+// carries its own judge: the exit code asserts that exactly the rows past
 // the bound fire the liveness oracle (and nothing ever fires the safety
 // oracle), instead of the default any-violation-fails rule.
 
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -61,12 +60,12 @@ ScenarioSpec FigLiveness() {
   // them; the default smoke shrink would silence the over-threshold rows.
   spec.smoke = [](ExperimentConfig&) {};
 
-  spec.point_judge = [](const SweepPoint& p, const ExperimentResult& r) {
+  spec.judge = JudgeEachPoint([](const SweepPoint& p, const ExperimentResult& r) {
     const uint32_t f = (p.config.n - 1) / 3;
     if (!r.safety_ok || r.oracle_violations != 0) return false;
     return p.config.num_faulty > f ? r.liveness_violations > 0
                                    : r.liveness_violations == 0;
-  };
+  });
   return spec;
 }
 

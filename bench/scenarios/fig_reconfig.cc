@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "consensus/committee.h"
 #include "runtime/adversary.h"
-#include "runtime/report.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -79,7 +78,7 @@ ScenarioSpec FigReconfig() {
   // them; the default smoke shrink would land every run before epoch 1.
   spec.smoke = [](ExperimentConfig&) {};
 
-  spec.point_judge = [](const SweepPoint& p, const ExperimentResult& r) {
+  spec.judge = JudgeEachPoint([](const SweepPoint& p, const ExperimentResult& r) {
     if (!r.safety_ok || r.oracle_violations != 0 || r.liveness_violations != 0) {
       return false;
     }
@@ -89,7 +88,7 @@ ScenarioSpec FigReconfig() {
       return false;
     }
     return true;
-  };
+  });
   return spec;
 }
 

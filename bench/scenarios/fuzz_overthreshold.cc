@@ -3,7 +3,7 @@
 // OverThresholdCaseFromSeed where the fault bound is exceeded (coalition
 // f+1..2f crashing or withholding under each of the five protocol cores) or
 // a protocol bug is injected (the test_break_safety equivocation commit) —
-// and the scenario's point_judge asserts that EXACTLY the expected oracle
+// and the scenario's judge asserts that EXACTLY the expected oracle
 // family fires on every row. A sweep where an over-threshold row comes back
 // clean fails: it would mean the oracles are vacuous exactly where the
 // paper's theorems stop holding.
@@ -40,14 +40,14 @@ ScenarioSpec FuzzOverThreshold() {
   // the gst/grace arithmetic the liveness expectations rest on.
   spec.smoke = [](ExperimentConfig&) {};
 
-  spec.point_judge = [](const SweepPoint& p, const ExperimentResult& r) {
+  spec.judge = JudgeEachPoint([](const SweepPoint& p, const ExperimentResult& r) {
     // Re-derive the expected family the same way the generator assigned it.
     if (p.config.test_break_safety) {
       return r.oracle_violations > 0 && r.liveness_violations == 0;
     }
     return r.liveness_violations > 0 && r.oracle_violations == 0 &&
            r.safety_ok;
-  };
+  });
   return spec;
 }
 

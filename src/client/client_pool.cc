@@ -101,14 +101,7 @@ ClientPool::Slot* ClientPool::FindSlot(Group& group, uint64_t id) {
   return &slot;
 }
 
-void ClientPool::SubmitFresh(uint64_t client) {
-  // Enqueueing touches the shared submission queue: gate, so that a replica
-  // event earlier in serial order (whose DrawBatch passed its own gate and may
-  // still be mutating the queue) has completed before this event touches it.
-  // The gate is pairwise: earlier accessors finish before later ones start.
-  sim_->SyncShared();
-  Group& group = *groups_[GroupOfClient(client)];
-  const SimTime now = sim_->Now();
+void ClientPool::Submit(Group& group, uint64_t client, SimTime now) {
   uint64_t id = 0;
   Slot& slot = AllocSlot(group, &id);
   slot.txn = workload_->Generate(&group.workload_rng);
@@ -120,6 +113,15 @@ void ClientPool::SubmitFresh(uint64_t client) {
   queue_.push_back(QueueEntry{slot.txn, now});
 }
 
+void ClientPool::SubmitFresh(uint64_t client) {
+  // Enqueueing touches the shared submission queue: gate, so that a replica
+  // event earlier in serial order (whose DrawBatch passed its own gate and may
+  // still be mutating the queue) has completed before this event touches it.
+  // The gate is pairwise: earlier accessors finish before later ones start.
+  sim_->SyncShared();
+  Submit(*groups_[GroupOfClient(client)], client, sim_->Now());
+}
+
 void ClientPool::ArrivalTick(uint32_t g) {
   sim_->SyncShared();  // enqueues below touch the shared queue
   Group& group = *groups_[g];
@@ -129,16 +131,7 @@ void ClientPool::ArrivalTick(uint32_t g) {
   // shard, so the lookahead window does not constrain the chain).
   SimTime next;
   do {
-    const uint64_t client = group.client_rng.NextBounded(config_.num_clients);
-    uint64_t id = 0;
-    Slot& slot = AllocSlot(group, &id);
-    slot.txn = workload_->Generate(&group.workload_rng);
-    slot.txn.id = id;
-    slot.txn.submit_time = now;
-    slot.client = client;
-    slot.first_submit = now;
-    slot.last_enqueue = now;
-    queue_.push_back(QueueEntry{slot.txn, now});
+    Submit(group, group.client_rng.NextBounded(config_.num_clients), now);
     next = group.arrival->Next();
   } while (next <= now);
   sim_->AtShard(next, ClientGroupShard(g), [this, g]() { ArrivalTick(g); });

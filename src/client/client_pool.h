@@ -238,6 +238,9 @@ class ClientPool : public TransactionSource, public ResponseSink {
   /// Live slot for `id`, or nullptr when the id is stale (already accepted).
   Slot* FindSlot(Group& group, uint64_t id);
 
+  /// Enqueues a fresh transaction for `client` in a new slot of `group`:
+  /// the slot is allocated before the workload draw. Callers gate first.
+  void Submit(Group& group, uint64_t client, SimTime now);
   void SubmitFresh(uint64_t client);           // closed loop (gates)
   void ArrivalTick(uint32_t group);            // open loop (gates)
   void Process(uint32_t group, ReplicaId from, const BlockPtr& block,

@@ -263,11 +263,6 @@ struct ConsensusConfig {
   /// Disable speculative responses entirely (HotStuff-1 degenerates to
   /// HotStuff-2 latency; ablation 1 in DESIGN.md).
   bool speculation_enabled = true;
-  /// Disable the Prefix Speculation rule (Def. 3.1). Test-only: reproduces
-  /// the Appendix A client-safety violations.
-  bool enforce_prefix_rule = true;
-  /// Disable the No-Gap rule (Def. 3.2). Test-only.
-  bool enforce_no_gap_rule = true;
   /// Disable the trusted-previous-leader fast path (§6.3; ablation 3).
   bool trusted_leader_enabled = true;
   /// Test-only mutation hook for the invariant oracle's self-test: the

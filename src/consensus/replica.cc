@@ -293,9 +293,7 @@ void ReplicaBase::DeliverCommits(const std::vector<ExecResult>& committed) {
 }
 
 void ReplicaBase::SpeculateAndRespond(const BlockPtr& certified, bool no_gap) {
-  const SpeculationPolicy policy{config_.speculation_enabled,
-                                 config_.enforce_prefix_rule,
-                                 config_.enforce_no_gap_rule};
+  const SpeculationPolicy policy{.enabled = config_.speculation_enabled};
   const uint64_t rollbacks_before = ledger_.rollback_events();
   const SpeculationOutcome out =
       TrySpeculate(&ledger_, store_, certified, no_gap, policy);

@@ -218,7 +218,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
   // only when the certificate is formed in the replica's current view for
   // the current view's proposal.
   const bool no_gap = v == view();
-  if (config_.enforce_no_gap_rule && v != view() && v + 1 != view()) {
+  if (v != view() && v + 1 != view()) {
     // A stale Prepare from an older view carries no other duty for us.
     return;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 
 namespace hotstuff1 {
@@ -114,14 +113,6 @@ SampleStats ComputeStats(const std::vector<double>& samples) {
   s.stddev = std::sqrt(sq / static_cast<double>(s.count - 1));
   s.ci95 = 1.96 * s.stddev / std::sqrt(static_cast<double>(s.count));
   return s;
-}
-
-SimTime BenchDuration(double default_ms) {
-  if (const char* env = std::getenv("H1_DURATION_MS")) {
-    const double ms = std::atof(env);
-    if (ms > 0) return Millis(ms);
-  }
-  return Millis(default_ms);
 }
 
 }  // namespace hotstuff1

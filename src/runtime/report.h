@@ -60,10 +60,6 @@ std::string CsvEscape(const std::string& s);
 /// (no surrounding quotes).
 std::string JsonEscape(const std::string& s);
 
-/// Virtual measurement duration for benches: H1_DURATION_MS env override,
-/// else `default_ms`.
-SimTime BenchDuration(double default_ms = 2000.0);
-
 }  // namespace hotstuff1
 
 #endif  // HOTSTUFF1_RUNTIME_REPORT_H_

@@ -54,6 +54,54 @@ Axis PaperProtocolAxis() {
   return axis;
 }
 
+std::string PointLabel(const SweepPoint& p) {
+  auto label = [](const std::string& l) { return l.empty() ? std::string("-") : l; };
+  return "[" + label(p.table_label) + " | " + label(p.row_label) + " | " +
+         label(p.col_label) + " | seed " + std::to_string(p.seed) + "]";
+}
+
+std::vector<std::string> NoViolations(const std::vector<SweepPoint>&,
+                                      const std::vector<ExperimentResult>& results) {
+  ExperimentResult total;  // the sweep's verdicts, merged in spec order
+  for (const ExperimentResult& r : results) MergeVerdicts(r, &total);
+  std::vector<std::string> failures;
+  if (const uint64_t v = total.oracle_violations; v > 0) {
+    failures.push_back("ORACLE VIOLATION (" + std::to_string(v) +
+                       " total): " + total.oracle_first_violation);
+  }
+  if (const uint64_t v = total.liveness_violations; v > 0) {
+    failures.push_back("LIVENESS VIOLATION (" + std::to_string(v) +
+                       " total): " + total.liveness_first_violation);
+  }
+  if (!total.safety_ok) failures.push_back("SAFETY VIOLATION");
+  return failures;
+}
+
+std::vector<std::string> EveryPointAccepts(const std::vector<SweepPoint>& points,
+                                           const std::vector<ExperimentResult>& results) {
+  std::vector<std::string> failures = NoViolations(points, results);
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (results[i].accepted == 0) {
+      failures.push_back("point " + PointLabel(points[i]) + " accepted no transactions");
+    }
+  }
+  return failures;
+}
+
+ScenarioJudge JudgeEachPoint(
+    std::function<bool(const SweepPoint&, const ExperimentResult&)> expect) {
+  return [expect = std::move(expect)](const std::vector<SweepPoint>& points,
+                                      const std::vector<ExperimentResult>& results) {
+    std::vector<std::string> failures;
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (expect(points[i], results[i])) continue;
+      failures.push_back("point " + PointLabel(points[i]) +
+                         " did not behave as the scenario expects");
+    }
+    return failures;
+  };
+}
+
 namespace {
 
 // CI-sized default: a short window is enough to prove the point executes and

@@ -1,8 +1,8 @@
 // Declarative scenario engine: a ScenarioSpec describes a paper figure (or
-// any experiment sweep) as axes over the ExperimentConfig space plus metric
-// columns, and a ScenarioRegistry makes every spec launchable by name from
-// hs1bench / hs1sim. Specs are pure data + mutators; execution lives in
-// sweep_runner.{h,cc}.
+// any experiment sweep) as axes over the ExperimentConfig space, metric
+// columns and a judge of its claims, and a ScenarioRegistry makes every spec
+// launchable by name from hs1bench / hs1sim. Specs are pure data + mutators;
+// execution lives in sweep_runner.{h,cc}.
 
 #ifndef HOTSTUFF1_RUNTIME_SCENARIO_H_
 #define HOTSTUFF1_RUNTIME_SCENARIO_H_
@@ -59,7 +59,35 @@ enum class RunMode {
   kSingle,      // RunExperiment: one run per point
 };
 
-struct SweepPoint;  // defined below ScenarioSpec
+/// One expanded (config, seed) execution point of a scenario sweep.
+struct SweepPoint {
+  size_t index = 0;  // position in deterministic spec order
+  std::string table_label, row_label, col_label;
+  uint64_t seed = 0;
+  RunMode mode = RunMode::kPaperPoint;
+  ExperimentConfig config;
+};
+
+/// `[table | row | col | seed s]`, with `-` for an empty label.
+std::string PointLabel(const SweepPoint& p);
+
+/// A scenario's acceptance claims over its whole sweep. It sees every point
+/// and its index-aligned result in spec order and returns one message per
+/// failed claim; no message means the sweep passes. Must be pure, like the
+/// metrics.
+using ScenarioJudge = std::function<std::vector<std::string>(
+    const std::vector<SweepPoint>& points, const std::vector<ExperimentResult>& results)>;
+
+// Stock judges.
+/// The default: no oracle, liveness or safety violation anywhere in the sweep.
+std::vector<std::string> NoViolations(const std::vector<SweepPoint>& points,
+                                      const std::vector<ExperimentResult>& results);
+/// NoViolations, and every point accepted at least one transaction.
+std::vector<std::string> EveryPointAccepts(const std::vector<SweepPoint>& points,
+                                           const std::vector<ExperimentResult>& results);
+/// Holds `expect` against each point: one message per point it rejects.
+ScenarioJudge JudgeEachPoint(
+    std::function<bool(const SweepPoint&, const ExperimentResult&)> expect);
 
 /// \brief Declarative description of one benchmark scenario.
 ///
@@ -93,21 +121,12 @@ struct ScenarioSpec {
   /// Null picks the default (short duration/warmup, kSingle measurement).
   std::function<void(ExperimentConfig&)> smoke;
 
-  /// Per-point pass/fail override. When set, RunScenario's exit code comes
-  /// from this instead of the default "any oracle/liveness/safety violation
-  /// fails" rule — for scenarios whose points *expect* a violation
-  /// (fig_liveness's over-threshold rows, the over-threshold fuzz tier).
-  /// Must be pure (runs once per point, in deterministic spec order).
-  std::function<bool(const SweepPoint&, const ExperimentResult&)> point_judge;
-};
-
-/// One expanded (config, seed) execution point of a scenario sweep.
-struct SweepPoint {
-  size_t index = 0;  // position in deterministic spec order
-  std::string table_label, row_label, col_label;
-  uint64_t seed = 0;
-  RunMode mode = RunMode::kPaperPoint;
-  ExperimentConfig config;
+  /// The scenario's claims: RunScenario exits 1 when this returns any
+  /// message. Scenarios whose points *expect* a violation (fig_liveness's
+  /// over-threshold rows, fuzz_overthreshold) or that claim more than a
+  /// clean run (every point accepts, fig_cert_size's byte crossover) replace
+  /// the default.
+  ScenarioJudge judge = NoViolations;
 };
 
 /// Expands a spec into its deterministic point list. With `smoke`, the spec's

@@ -218,11 +218,7 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os) {
     size_t listed = 0;
     for (size_t i = 0; i < outcome.points.size() && listed < 8; ++i) {
       if (!outcome.results[i].event_cap_hit) continue;
-      const SweepPoint& p = outcome.points[i];
-      os << "  [" << (p.table_label.empty() ? "-" : p.table_label) << " | "
-         << (p.row_label.empty() ? "-" : p.row_label) << " | "
-         << (p.col_label.empty() ? "-" : p.col_label) << " | seed " << p.seed
-         << "]\n";
+      os << "  " << PointLabel(outcome.points[i]) << "\n";
       ++listed;
     }
     if (capped > listed) os << "  ... and " << (capped - listed) << " more\n";
@@ -281,41 +277,14 @@ int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
     case ReportFormat::kCsv: EmitCsv(outcome, os); break;
     case ReportFormat::kJson: EmitJson(outcome, os); break;
   }
-  ExperimentResult total;  // the sweep's verdicts, merged in spec order
-  for (const ExperimentResult& r : outcome.results) MergeVerdicts(r, &total);
-  if (total.event_cap_hit) {
+  if (std::any_of(outcome.results.begin(), outcome.results.end(),
+                  [](const ExperimentResult& r) { return r.event_cap_hit; })) {
     std::cerr << "warning: scenario '" << spec.name
               << "' hit the simulator event cap; results are truncated\n";
   }
-  // A scenario whose points *expect* violations judges itself: the exit code
-  // comes from its point_judge, not the blanket any-violation-fails rule.
-  if (spec.point_judge) {
-    int code = 0;
-    for (size_t i = 0; i < outcome.points.size(); ++i) {
-      if (spec.point_judge(outcome.points[i], outcome.results[i])) continue;
-      const SweepPoint& p = outcome.points[i];
-      std::cerr << "JUDGE FAILED in scenario '" << spec.name << "': point ["
-                << (p.table_label.empty() ? "-" : p.table_label) << " | "
-                << (p.row_label.empty() ? "-" : p.row_label) << " | "
-                << (p.col_label.empty() ? "-" : p.col_label) << " | seed "
-                << p.seed << "] did not behave as the scenario expects\n";
-      code = 1;
-    }
-    return code;
-  }
   int code = 0;
-  if (const uint64_t v = total.oracle_violations; v > 0) {
-    std::cerr << "ORACLE VIOLATION in scenario '" << spec.name << "' (" << v
-              << " total): " << total.oracle_first_violation << "\n";
-    code = 1;
-  }
-  if (const uint64_t v = total.liveness_violations; v > 0) {
-    std::cerr << "LIVENESS VIOLATION in scenario '" << spec.name << "' (" << v
-              << " total): " << total.liveness_first_violation << "\n";
-    code = 1;
-  }
-  if (!total.safety_ok) {
-    std::cerr << "SAFETY VIOLATION in scenario '" << spec.name << "'\n";
+  for (const std::string& failure : spec.judge(outcome.points, outcome.results)) {
+    std::cerr << "scenario '" << spec.name << "': " << failure << "\n";
     code = 1;
   }
   return code;

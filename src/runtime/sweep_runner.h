@@ -53,9 +53,10 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os);
 void EmitCsv(const SweepOutcome& outcome, std::ostream& os);
 void EmitJson(const SweepOutcome& outcome, std::ostream& os);
 
-/// Runs one registered scenario end to end and writes the requested format.
-/// Returns a process exit code (0 ok, 1 safety violation, 2 an override the
-/// scenario cannot run).
+/// Runs one registered scenario end to end, writes the requested format and
+/// prints each message of the scenario's judge (ScenarioSpec::judge) to
+/// stderr. Returns a process exit code: 0 when the judge passes, 1 when it
+/// fails, 2 when an override leaves a point unrunnable.
 int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options);
 
 /// The front end shared by hs1sim and hs1bench: --help, --list, and the

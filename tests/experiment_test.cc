@@ -180,13 +180,5 @@ TEST(ReportTest, Formatters) {
   EXPECT_EQ(FormatCount(42), "42");
 }
 
-TEST(ReportTest, BenchDurationEnvOverride) {
-  unsetenv("H1_DURATION_MS");
-  EXPECT_EQ(BenchDuration(1000), Millis(1000));
-  setenv("H1_DURATION_MS", "250", 1);
-  EXPECT_EQ(BenchDuration(1000), Millis(250));
-  unsetenv("H1_DURATION_MS");
-}
-
 }  // namespace
 }  // namespace hotstuff1

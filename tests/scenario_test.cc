@@ -1,9 +1,10 @@
 // Scenario engine and sweep runner: registry round-trips, deterministic
-// expansion, worker-count-independent merged output, and the event-cap
-// diagnostic plumbing.
+// expansion, worker-count-independent merged output, the judges that decide
+// a scenario's exit code, and the event-cap diagnostic plumbing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -238,6 +239,167 @@ TEST(SweepRunnerTest, ComputeStatsMatchesHandValues) {
   EXPECT_DOUBLE_EQ(s.mean, 4.0);
   EXPECT_DOUBLE_EQ(s.stddev, 2.0);  // sqrt(((2-4)^2+(0)^2+(2)^2)/2)
   EXPECT_NEAR(s.ci95, 1.96 * 2.0 / std::sqrt(3.0), 1e-12);
+}
+
+// Synthetic results for `points`: every point accepted and committed, and
+// no verdict raised.
+std::vector<ExperimentResult> CleanResults(const std::vector<SweepPoint>& points) {
+  std::vector<ExperimentResult> results(points.size());
+  for (ExperimentResult& r : results) {
+    r.accepted = 100;
+    r.committed_blocks = 10;
+    r.bytes_sent = 10'000;
+  }
+  return results;
+}
+
+bool Mentions(const std::vector<std::string>& failures, const std::string& text) {
+  return std::any_of(failures.begin(), failures.end(), [&](const std::string& f) {
+    return f.find(text) != std::string::npos;
+  });
+}
+
+TEST(JudgeTest, NoViolationsFailsOnEveryVerdictFamily) {
+  const std::vector<SweepPoint> points = ExpandScenario(TinySpec());
+  std::vector<ExperimentResult> results = CleanResults(points);
+  EXPECT_TRUE(NoViolations(points, results).empty());
+  results[1].accepted = 0;  // idle is not a violation
+  EXPECT_TRUE(NoViolations(points, results).empty());
+
+  results[3].oracle_violations = 2;
+  results[3].oracle_first_violation = "commit-conflict at t=5";
+  std::vector<std::string> failures = NoViolations(points, results);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0], "ORACLE VIOLATION (2 total): commit-conflict at t=5");
+
+  results = CleanResults(points);
+  results[5].liveness_violations = 1;
+  results[5].liveness_first_violation = "liveness-silence";
+  results[6].safety_ok = false;
+  failures = NoViolations(points, results);
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0], "LIVENESS VIOLATION (1 total): liveness-silence");
+  EXPECT_EQ(failures[1], "SAFETY VIOLATION");
+}
+
+TEST(JudgeTest, EveryPointAcceptsNamesEachIdlePoint) {
+  const std::vector<SweepPoint> points = ExpandScenario(TinySpec());
+  std::vector<ExperimentResult> results = CleanResults(points);
+  EXPECT_TRUE(EveryPointAccepts(points, results).empty());
+  results[2].accepted = 0;
+  std::vector<std::string> failures = EveryPointAccepts(points, results);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0], "point [- | 4 | HotStuff-1 | seed 1] accepted no transactions");
+  results[4].oracle_violations = 1;  // and it still holds NoViolations
+  EXPECT_EQ(EveryPointAccepts(points, results).size(), 2u);
+
+  // The scenarios whose claim is "every point commits" carry this judge.
+  for (const char* name : {"fig8_scalability_xl", "cost_model", "fig_saturation"}) {
+    SCOPED_TRACE(name);
+    const ScenarioSpec* spec = ScenarioRegistry::Instance().Find(name);
+    ASSERT_NE(spec, nullptr);
+    const std::vector<SweepPoint> smoke = ExpandScenario(*spec, /*smoke=*/true);
+    std::vector<ExperimentResult> rs = CleanResults(smoke);
+    EXPECT_TRUE(spec->judge(smoke, rs).empty());
+    rs.back().accepted = 0;
+    EXPECT_TRUE(Mentions(spec->judge(smoke, rs), "accepted no transactions"));
+  }
+}
+
+TEST(JudgeTest, JudgeEachPointNamesEveryRejectedPoint) {
+  const std::vector<SweepPoint> points = ExpandScenario(TinySpec());
+  const ScenarioJudge judge = JudgeEachPoint(
+      [](const SweepPoint& p, const ExperimentResult&) { return p.row_label != "7"; });
+  const std::vector<std::string> failures = judge(points, CleanResults(points));
+  ASSERT_EQ(failures.size(), 4u);  // row 7 x 2 protocols x 2 seeds
+  EXPECT_EQ(failures[0], "point [- | 7 | HotStuff | seed 1] did not behave as the "
+                         "scenario expects");
+}
+
+TEST(JudgeTest, CertSizeJudgeHoldsTheCrossoverAtN512) {
+  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("fig_cert_size");
+  ASSERT_NE(spec, nullptr);
+  const std::vector<SweepPoint> points = ExpandScenario(*spec, /*smoke=*/true);
+  std::vector<ExperimentResult> results = CleanResults(points);
+  auto at_512 = [&](CertScheme scheme) -> ExperimentResult& {
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (points[i].config.n == 512 && points[i].config.cert_scheme == scheme) {
+        return results[i];
+      }
+    }
+    ADD_FAILURE() << "no n=512 point for " << CertSchemeName(scheme);
+    return results.front();
+  };
+  // 10 blocks each: 1,000 aggregate against 10,010 vector bytes per block.
+  at_512(CertScheme::kAggregate).bytes_sent = 10'000;
+  at_512(CertScheme::kMultisigVector).bytes_sent = 100'100;
+  EXPECT_TRUE(spec->judge(points, results).empty());
+
+  at_512(CertScheme::kMultisigVector).bytes_sent = 100'000;  // exactly 10x
+  std::vector<std::string> failures = spec->judge(points, results);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("at n=512"), std::string::npos) << failures[0];
+
+  at_512(CertScheme::kMultisigVector).bytes_sent = 100'100;
+  at_512(CertScheme::kAggregate).committed_blocks = 0;  // no aggregate bytes/block
+  EXPECT_EQ(spec->judge(points, results).size(), 1u);
+
+  at_512(CertScheme::kAggregate).committed_blocks = 10;
+  results.front().accepted = 0;  // the crossover holds, but a point is idle
+  failures = spec->judge(points, results);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("accepted no transactions"), std::string::npos);
+}
+
+TEST(JudgeTest, RunScenarioExitsWithTheJudgesVerdict) {
+  ScenarioSpec spec = TinySpec();
+  spec.rows.resize(1);
+  spec.cols.resize(1);
+  spec.seeds = {1};
+  std::ostringstream sink;
+  ScenarioRunOptions options;
+  options.format = ReportFormat::kCsv;
+  options.out = &sink;
+  EXPECT_EQ(RunScenario(spec, options), 0);  // the default NoViolations, clean
+  spec.judge = [](const std::vector<SweepPoint>&, const std::vector<ExperimentResult>&) {
+    return std::vector<std::string>{};
+  };
+  EXPECT_EQ(RunScenario(spec, options), 0);
+  spec.judge = [](const std::vector<SweepPoint>& points,
+                  const std::vector<ExperimentResult>&) {
+    EXPECT_EQ(points.size(), 1u);
+    return std::vector<std::string>{"the claim does not hold"};
+  };
+  EXPECT_EQ(RunScenario(spec, options), 1);
+}
+
+// The claims count rows, so the sweeps must keep the rows the claims name.
+TEST(ScenarioClaimsTest, ScalabilityXlSmokeKeepsN512ForEveryProtocol) {
+  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("fig8_scalability_xl");
+  ASSERT_NE(spec, nullptr);
+  std::set<ProtocolKind> at_512;
+  for (const SweepPoint& p : ExpandScenario(*spec, /*smoke=*/true)) {
+    if (p.config.n == 512) at_512.insert(p.config.protocol);
+  }
+  EXPECT_EQ(at_512.size(), 3u);
+}
+
+TEST(ScenarioClaimsTest, FigReconfigHas16ChurnRowsAmong20Points) {
+  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("fig_reconfig");
+  ASSERT_NE(spec, nullptr);
+  const std::vector<SweepPoint> points = ExpandScenario(*spec);
+  EXPECT_EQ(points.size(), 20u);
+  EXPECT_EQ(std::count_if(points.begin(), points.end(),
+                          [](const SweepPoint& p) {
+                            return p.config.reconfig.steps.size() > 1;
+                          }),
+            16);
+}
+
+TEST(ScenarioClaimsTest, FuzzOverThresholdHas11Tuples) {
+  const ScenarioSpec* spec = ScenarioRegistry::Instance().Find("fuzz_overthreshold");
+  ASSERT_NE(spec, nullptr);
+  EXPECT_EQ(ExpandScenario(*spec).size(), 11u);
 }
 
 TEST(EventCapTest, SimulatorReportsTruncation) {
