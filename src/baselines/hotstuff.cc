@@ -1,6 +1,5 @@
 #include "baselines/hotstuff.h"
 
-#include "sim/message_pool.h"
 #include "runtime/oracle.h"
 
 namespace hotstuff1 {
@@ -85,7 +84,7 @@ void ChainedReplica::HandlePropose(const ProposeMsg& msg) {
 
   if (!EnsureBlock(msg.justify.block_hash(), msg.sender)) {
     // Parent missing: stash and retry once the fetch completes (§4.2).
-    pending_votes_[v] = sim::MakeMessage<ProposeMsg>(msg);
+    pending_votes_[v] = std::make_shared<ProposeMsg>(msg);
     return;
   }
   const BlockPtr certified = store_.GetOrNull(msg.justify.block_hash());
@@ -103,7 +102,7 @@ void ChainedReplica::HandlePropose(const ProposeMsg& msg) {
     // already holds a higher certificate it formed from vote shares).
     if (view() == v && v > exited_view_) ExitView(v);
   } else if (v > view()) {
-    pending_votes_[v] = sim::MakeMessage<ProposeMsg>(msg);
+    pending_votes_[v] = std::make_shared<ProposeMsg>(msg);
   }
 }
 
@@ -200,10 +199,10 @@ void ChainedReplica::Propose(uint64_t v) {
       std::vector<bool> mask_b(config_.n);
       for (ReplicaId r = 0; r < config_.n; ++r) mask_b[r] = !mask_a[r];
 
-      auto msg_a = sim::MakeMessage<ProposeMsg>(id_);
+      auto msg_a = std::make_shared<ProposeMsg>(id_);
       msg_a->block = block_a;
       msg_a->justify = honest;
-      auto msg_b = sim::MakeMessage<ProposeMsg>(id_);
+      auto msg_b = std::make_shared<ProposeMsg>(id_);
       msg_b->block = block_b;
       msg_b->justify = *prev;
       ++metrics_.blocks_proposed;

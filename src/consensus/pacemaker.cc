@@ -1,7 +1,6 @@
 #include "consensus/pacemaker.h"
 
 #include "common/logging.h"
-#include "sim/message_pool.h"
 
 namespace hotstuff1 {
 
@@ -73,7 +72,7 @@ void Pacemaker::SynchronizeEpoch(uint64_t view) {
   // Standby replicas hold no wish power for this boundary's committee; they
   // block here and join the epoch when the TC broadcast arrives.
   if (!IsWishMember(view, signer_.id())) return;
-  auto msg = sim::MakeMessage<WishMsg>(signer_.id());
+  auto msg = std::make_shared<WishMsg>(signer_.id());
   msg->view = view;
   msg->share = signer_.Sign(SignDomain::kWish, WishDigest(view));
   for (uint32_t k = 0; k <= AggregatorF(view); ++k) {
@@ -97,7 +96,7 @@ void Pacemaker::OnWish(const WishMsg& msg) {
   ws.sigs.push_back(msg.share);
   if (ws.signers.Count() >= WishQuorum(msg.view)) {
     ws.tc_sent = true;
-    auto tc = sim::MakeMessage<TimeoutCertMsg>(signer_.id());
+    auto tc = std::make_shared<TimeoutCertMsg>(signer_.id());
     tc->view = msg.view;
     tc->sigs = ws.sigs;
     cb_.broadcast_tc(std::move(tc));
@@ -117,7 +116,7 @@ void Pacemaker::OnTimeoutCert(const TimeoutCertMsg& msg) {
 
   // Relay to the epoch's leaders so that a leader that missed the Wish
   // quorum still learns the certificate (Fig. 3 line 15).
-  auto relay = sim::MakeMessage<TimeoutCertMsg>(signer_.id());
+  auto relay = std::make_shared<TimeoutCertMsg>(signer_.id());
   relay->view = msg.view;
   relay->sigs = msg.sigs;
   for (uint32_t k = 0; k <= AggregatorF(msg.view); ++k) {

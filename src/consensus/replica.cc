@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "core/speculation.h"
-#include "sim/message_pool.h"
 #include "runtime/oracle.h"
 
 namespace hotstuff1 {
@@ -167,7 +166,7 @@ bool ReplicaBase::CheckVote(CertKind kind, uint64_t context_view,
 }
 
 void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert) {
-  auto nv = sim::MakeMessage<NewViewMsg>(id_);
+  auto nv = std::make_shared<NewViewMsg>(id_);
   nv->target_view = target;
   nv->high_cert = high_cert;
   SendTo(LeaderOf(target), std::move(nv));
@@ -175,7 +174,7 @@ void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert) {
 
 void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert,
                               CertKind kind, const Block& voted) {
-  auto nv = sim::MakeMessage<NewViewMsg>(id_);
+  auto nv = std::make_shared<NewViewMsg>(id_);
   nv->target_view = target;
   nv->high_cert = high_cert;
   nv->has_share = true;
@@ -190,7 +189,7 @@ void ReplicaBase::SendNewView(uint64_t target, const Certificate& high_cert,
 void ReplicaBase::SendVote(CertKind kind, const Block& block,
                            const Certificate& high_cert) {
   ++metrics_.votes_sent;
-  auto vote = sim::MakeMessage<VoteMsg>(id_);
+  auto vote = std::make_shared<VoteMsg>(id_);
   vote->vote_kind = kind;
   vote->block_id = block.id();
   vote->block_hash = block.hash();
@@ -244,7 +243,7 @@ std::shared_ptr<ProposeMsg> ReplicaBase::ProposeBlock(const BlockId& id,
   RecordJustify(block->hash(), justify);
   ++metrics_.slots_proposed;
   if (id.slot == 1) ++metrics_.blocks_proposed;
-  auto msg = sim::MakeMessage<ProposeMsg>(id_);
+  auto msg = std::make_shared<ProposeMsg>(id_);
   msg->block = std::move(block);
   msg->justify = justify;
   msg->carry = std::move(carry);
@@ -348,7 +347,7 @@ bool ReplicaBase::EnsureBlock(const Hash256& hash, ReplicaId hint) {
   // plus slack.
   it->second = Now() + 4 * config_.delta;
   ++metrics_.fetches;
-  auto req = sim::MakeMessage<FetchRequestMsg>(id_);
+  auto req = std::make_shared<FetchRequestMsg>(id_);
   req->hash = hash;
   // Ask the hint plus f other replicas: at least one correct replica that
   // voted for the block will answer (§4.2).
@@ -365,7 +364,7 @@ bool ReplicaBase::EnsureBlock(const Hash256& hash, ReplicaId hint) {
 void ReplicaBase::HandleFetchRequest(const FetchRequestMsg& msg) {
   const BlockPtr block = store_.GetOrNull(msg.hash);
   if (!block) return;
-  auto resp = sim::MakeMessage<FetchResponseMsg>(id_);
+  auto resp = std::make_shared<FetchResponseMsg>(id_);
   resp->block = block;
   SendTo(msg.sender, resp);
 }

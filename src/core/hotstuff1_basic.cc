@@ -1,7 +1,5 @@
 #include "core/hotstuff1_basic.h"
 
-#include "sim/message_pool.h"
-
 namespace hotstuff1 {
 
 HotStuff1BasicReplica::HotStuff1BasicReplica(ReplicaId id,
@@ -141,7 +139,7 @@ void HotStuff1BasicReplica::HandlePropose(const ProposeMsg& msg) {
   if (msg.block->parent_hash() != msg.justify.block_hash()) return;
   if (!EnsureBlock(msg.justify.block_hash(), msg.sender)) {
     pending_proposals_[std::max<uint64_t>(v, view())] =
-        sim::MakeMessage<ProposeMsg>(msg);
+        std::make_shared<ProposeMsg>(msg);
     return;
   }
   const BlockPtr parent = store_.GetOrNull(msg.justify.block_hash());
@@ -159,7 +157,7 @@ void HotStuff1BasicReplica::HandlePropose(const ProposeMsg& msg) {
   }
 
   if (v != view()) {
-    if (v > view()) pending_proposals_[v] = sim::MakeMessage<ProposeMsg>(msg);
+    if (v > view()) pending_proposals_[v] = std::make_shared<ProposeMsg>(msg);
     return;
   }
   if (voted_view_ >= v) return;
@@ -194,7 +192,7 @@ void HotStuff1BasicReplica::HandleVote(const VoteMsg& msg) {
   if (auto prepare = CollectShare(*st.vote_acc, msg.share)) {
     st.prepared = true;
     UpdateHighPrepare(*prepare);
-    auto prep = sim::MakeMessage<PrepareMsg>(id_);
+    auto prep = std::make_shared<PrepareMsg>(id_);
     prep->cert = std::move(*prepare);
     Broadcast(std::move(prep));
   }
@@ -209,7 +207,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
   const BlockPtr certified = store_.GetOrNull(cert.block_hash());
   if (!certified) {
     // Prepare raced ahead of its proposal; buffer until the block arrives.
-    if (v >= view()) pending_prepares_[v] = sim::MakeMessage<PrepareMsg>(msg);
+    if (v >= view()) pending_prepares_[v] = std::make_shared<PrepareMsg>(msg);
     return;
   }
   UpdateHighPrepare(cert);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/message_pool.h"
-
 namespace hotstuff1 {
 
 HotStuff1SlottedReplica::HotStuff1SlottedReplica(
@@ -398,7 +396,7 @@ void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
   if (!parent) {
     EnsureBlock(msg.block->parent_hash(), msg.sender);
     pending_proposals_[std::max<uint64_t>(v, view())].push_back(
-        sim::MakeMessage<ProposeMsg>(msg));
+        std::make_shared<ProposeMsg>(msg));
     return;
   }
   if (msg.block->height() != parent->height() + 1) return;
@@ -414,7 +412,7 @@ void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
   // Voting.
   if (v != view()) {
     if (v > view()) {
-      pending_proposals_[v].push_back(sim::MakeMessage<ProposeMsg>(msg));
+      pending_proposals_[v].push_back(std::make_shared<ProposeMsg>(msg));
     }
     return;
   }
@@ -434,7 +432,7 @@ void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
   } else {
     next_slot_ = s + 1;  // Fig. 7 line 26: the slot is consumed either way
     ++metrics_.rejects_sent;
-    auto rej = sim::MakeMessage<RejectMsg>(id_);
+    auto rej = std::make_shared<RejectMsg>(id_);
     rej->view = v;
     rej->slot = s;
     rej->high_cert = high_cert_;

@@ -333,6 +333,14 @@ std::string CheckConfig(const ExperimentConfig& c) {
            " do not fit the scenario's own " + std::to_string(c.topology.n) +
            "-node topology";
   }
+  // Each closed-loop client keeps one transaction in flight, and clients are
+  // striped over the groups, so a group needs ceil(clients / groups) slots.
+  const uint64_t slots = uint64_t{c.client_groups} * kMaxSlotsPerGroup;
+  if (c.arrival.kind == ArrivalKind::kClosedLoop && c.num_clients > slots) {
+    return "--clients=" + std::to_string(c.num_clients) + " is above --client-groups=" +
+           std::to_string(c.client_groups) + " x " + std::to_string(kMaxSlotsPerGroup) +
+           ", the closed loop's in-flight capacity";
+  }
   const size_t regions = c.topology.n != 0 ? c.topology.region_latency.size() : c.regions;
   for (const StrategyEntry& e : c.strategy.entries) {
     for (const std::vector<uint32_t>& group : e.partition) {

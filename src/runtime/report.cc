@@ -84,17 +84,6 @@ std::string FormatMs(double ms) {
 
 std::string FormatCount(uint64_t v) { return std::to_string(v); }
 
-double Quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  if (q <= 0) return sorted.front();
-  if (q >= 1) return sorted.back();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] + (sorted[lo + 1] - sorted[lo]) * frac;
-}
-
 SampleStats ComputeStats(const std::vector<double>& samples) {
   SampleStats s;
   s.count = samples.size();
@@ -102,11 +91,6 @@ SampleStats ComputeStats(const std::vector<double>& samples) {
   double sum = 0;
   for (double v : samples) sum += v;
   s.mean = sum / static_cast<double>(s.count);
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = Quantile(sorted, 0.50);
-  s.p99 = Quantile(sorted, 0.99);
-  s.p999 = Quantile(sorted, 0.999);
   if (s.count < 2) return s;
   double sq = 0;
   for (double v : samples) sq += (v - s.mean) * (v - s.mean);

@@ -41,18 +41,8 @@ struct SampleStats {
   double mean = 0;
   double stddev = 0;  ///< sample standard deviation (n-1 denominator); 0 if count < 2
   double ci95 = 0;    ///< 95% CI half-width, normal approx: 1.96 * stddev / sqrt(n)
-  // Interpolated quantiles (see Quantile); equal to the single sample when
-  // count == 1. p999 saturates to the max for small samples — still useful
-  // as a tail bound for the saturation sweeps and the bench ledger.
-  double p50 = 0;
-  double p99 = 0;
-  double p999 = 0;
 };
 SampleStats ComputeStats(const std::vector<double>& samples);
-
-/// Interpolated quantile of an ascending-sorted sample vector: index
-/// q*(n-1), linear interpolation between neighbors. Returns 0 when empty.
-double Quantile(const std::vector<double>& sorted, double q);
 
 /// Quotes a CSV cell when it contains a delimiter, quote, or newline.
 std::string CsvEscape(const std::string& s);

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-
 namespace hotstuff1::sim {
 
 void EventArena::Grow() {
@@ -11,78 +9,6 @@ void EventArena::Grow() {
   // LIFO free list; seed high-to-low so fresh slots hand out in ascending
   // index order (denser chunks, friendlier first-touch).
   for (uint32_t i = kChunkSize; i > 0; --i) free_.push_back(base + i - 1);
-}
-
-EventQueue::EventQueue() : near_(kBuckets), live_(kBuckets / 64, 0) {}
-
-void EventQueue::PushFar(SimTime t, uint64_t seq, uint32_t idx) {
-  far_.push_back(FarEntry{t, seq, idx});
-  std::push_heap(far_.begin(), far_.end(), FarLater{});
-}
-
-void EventQueue::PopFarTop() {
-  std::pop_heap(far_.begin(), far_.end(), FarLater{});
-  far_.pop_back();
-}
-
-void EventQueue::MigrateFar() {
-  while (!far_.empty() && InNear(far_.front().time)) {
-    const FarEntry e = far_.front();
-    std::pop_heap(far_.begin(), far_.end(), FarLater{});
-    far_.pop_back();
-    const size_t b = static_cast<size_t>(e.time) & (kBuckets - 1);
-    near_[b].slots.push_back(Slot{e.seq, e.idx});
-    live_[b >> 6] |= uint64_t{1} << (b & 63);
-    ++near_count_;
-  }
-}
-
-size_t EventQueue::FindLiveBucket(size_t start) const {
-  size_t w = start >> 6;
-  uint64_t word = live_[w] & (~uint64_t{0} << (start & 63));
-  const size_t words = kBuckets / 64;
-  // One extra lap step: iteration `words` revisits the starting word
-  // unmasked, because a bucket at the tail of the window (time close to
-  // near_start_ + kSpan) wraps into the starting word *below* the start bit
-  // and the masked first pass cannot see it. Its high bits were zero on that
-  // first pass, so ctz of the full word lands on the wrapped low region.
-  for (size_t i = 0; i <= words; ++i) {
-    if (word != 0) {
-      return (w << 6) + static_cast<size_t>(__builtin_ctzll(word));
-    }
-    w = (w + 1) & (words - 1);
-    word = live_[w];
-  }
-  HS1_CHECK(false) << "live bitmap empty with near_count_ > 0";
-  return 0;
-}
-
-void EventQueue::ComputeMin() {
-  bool have = false;
-  if (near_count_ > 0) {
-    const size_t start = static_cast<size_t>(near_start_) & (kBuckets - 1);
-    const size_t b = FindLiveBucket(start);
-    const SimTime t =
-        near_start_ + static_cast<SimTime>((b - start) & (kBuckets - 1));
-    const Slot& s = near_[b].slots[near_[b].head];
-    cache_ = EventHandle{t, s.seq, s.idx};
-    cache_is_far_ = false;
-    have = true;
-  }
-  // A far entry can undercut the ring candidate: far times are fixed at
-  // push, but near_start_ keeps advancing, so an old far entry may sit
-  // inside today's window while fresher (later) events occupy the ring.
-  if (!far_.empty()) {
-    const FarEntry& f = far_.front();
-    if (!have || f.time < cache_.time ||
-        (f.time == cache_.time && f.seq < cache_.seq)) {
-      cache_ = EventHandle{f.time, f.seq, f.idx};
-      cache_is_far_ = true;
-      have = true;
-    }
-  }
-  HS1_CHECK(have);
-  cache_valid_ = true;
 }
 
 }  // namespace hotstuff1::sim

@@ -1,36 +1,27 @@
 // The simulator's scheduling core: a chunked event arena (flat records, free
-// list, stable addresses) and a calendar queue over (time, seq) keys.
+// list, stable addresses) and a binary min-heap of 24-byte handles keyed on
+// (time, seq).
 //
-// Why a calendar queue: discrete-event consensus workloads cluster event
-// timestamps tightly around "now" (deliveries, drains, zero-delay
-// follow-ons, short timers). A binary heap pays O(log n) comparator-driven
-// moves of full Event structs per operation; the calendar queue appends into
-// a per-microsecond bucket ring in O(1) and pops by scanning a bitmap of
-// non-empty buckets. Events beyond the ring's horizon (long view timers,
-// geo-latency deliveries) overflow into a small min-heap of flat 24-byte
-// handles and migrate into the ring in bulk when the window advances.
+// Ordering contract (the determinism-critical part): Pop returns handles in
+// strictly ascending (time, seq). Seqs are unique, so the order is total and
+// does not depend on the heap's internal layout: the same pushes pop in the
+// same order on every run, serial or windowed.
 //
-// Ordering contract (the determinism-critical part): Pop returns live
-// handles in strictly ascending (time, seq) — exactly std::priority_queue
-// with the old EventLater comparator. This relies on one queue invariant:
+// The heap itself needs nothing more, but the simulator keeps one more
+// promise and Push checks it, so a scheduling bug fails loudly instead of
+// silently running an event in the past:
 //
-//   no-past-push: every Push happens at time >= the maximum time ever
-//   popped (near_start_).
+//   no-past-push: every Push happens at time >= the latest popped time.
 //
-// The simulator guarantees it on every path: serial and window execution
-// clamp scheduling to the executing event's own time, and window commits
-// only push at or beyond the executed horizon. Push checks it.
-//
-// In-bucket order relies on a second property: appends into one bucket
-// carry ascending seq. Fresh pushes have globally increasing seqs, and
-// far->near migration happens only when the ring is empty and drains the
-// heap in (time, seq) order. Peek never advances the window (a
-// peeked-but-unpopped event must not constrain later pushes, see
-// Simulator::RunUntil).
+// Serial and window execution clamp scheduling to the executing event's own
+// time, and window commits only push at or beyond the executed horizon. Peek
+// does not raise that floor (a peeked-but-unpopped event must not constrain
+// later pushes, see Simulator::RunUntil).
 
 #ifndef HOTSTUFF1_SIM_EVENT_QUEUE_H_
 #define HOTSTUFF1_SIM_EVENT_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -106,141 +97,50 @@ struct EventHandle {
   uint32_t idx = 0;
 };
 
-/// \brief Calendar queue keyed on (time, seq). See the file comment for the
-/// structure and the invariants; owned by exactly one Simulator and driven
-/// from one thread at a time (the executor pops rounds before going wide).
+/// \brief Binary min-heap of EventHandles ordered by (time, seq). Owned by
+/// exactly one Simulator and driven from one thread at a time (the executor
+/// pops a window before going wide).
 class EventQueue {
  public:
-  static constexpr size_t kBucketsShift = 14;  // 16384 one-us buckets
-  static constexpr size_t kBuckets = size_t{1} << kBucketsShift;
-  /// Virtual-time width of the near ring; pushes at or beyond
-  /// near_start_ + kSpan overflow into the far heap.
-  static constexpr SimTime kSpan = static_cast<SimTime>(kBuckets);
-
-  EventQueue();
-
   /// Inserts (t, seq) -> idx. Requires t >= every previously popped time
-  /// (no-past-push, checked) and seq >= every seq previously pushed at t.
-  /// Inline: the common case is one bucket append + a bitmap OR.
+  /// (no-past-push, checked) and a seq that no other handle carries.
   void Push(SimTime t, uint64_t seq, uint32_t idx) {
-    HS1_CHECK_GE(t, near_start_);
-    ++size_;
-    if (cache_valid_ &&
-        (t < cache_.time || (t == cache_.time && seq < cache_.seq))) {
-      cache_ = EventHandle{t, seq, idx};
-      cache_is_far_ = !InNear(t);
-    }
-    if (InNear(t)) {
-      const size_t b = static_cast<size_t>(t) & (kBuckets - 1);
-      near_[b].slots.push_back(Slot{seq, idx});
-      live_[b >> 6] |= uint64_t{1} << (b & 63);
-      ++near_count_;
-    } else {
-      PushFar(t, seq, idx);
-    }
+    HS1_CHECK_GE(t, floor_);
+    heap_.push_back(EventHandle{t, seq, idx});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Writes the smallest live key into *out without removing it; false when
-  /// empty. Never advances the window.
-  bool Peek(EventHandle* out) {
-    if (size_ == 0) return false;
-    if (!cache_valid_) ComputeMin();
-    *out = cache_;
+  /// Writes the smallest key into *out without removing it; false when
+  /// empty.
+  bool Peek(EventHandle* out) const {
+    if (heap_.empty()) return false;
+    *out = heap_.front();
     return true;
   }
 
-  /// Removes and returns the smallest live key. Precondition: !empty().
+  /// Removes and returns the smallest key. Precondition: !empty().
   EventHandle Pop() {
-    HS1_CHECK(size_ > 0);
-    if (!cache_valid_) ComputeMin();
-    const EventHandle h = cache_;
-    cache_valid_ = false;
-    if (cache_is_far_) {
-      PopFarTop();
-    } else {
-      const size_t b = static_cast<size_t>(h.time) & (kBuckets - 1);
-      Bucket& bk = near_[b];
-      if (++bk.head == bk.slots.size()) {
-        bk.slots.clear();  // keeps capacity for the next lap of the ring
-        bk.head = 0;
-        live_[b >> 6] &= ~(uint64_t{1} << (b & 63));
-      } else {
-        // The bucket still has slots. While a time is in the window its
-        // events live only in this bucket, so the next slot (same time, next
-        // seq) is the new minimum unless the far top undercuts it — refill
-        // the cache and skip the next ComputeMin. Ticks with many same-time
-        // events (broadcast arrivals, quorum formation) hit this every pop.
-        const Slot& s = bk.slots[bk.head];
-        if (far_.empty() || far_.front().time > h.time ||
-            (far_.front().time == h.time && far_.front().seq > s.seq)) {
-          cache_ = EventHandle{h.time, s.seq, s.idx};
-          cache_is_far_ = false;
-          cache_valid_ = true;
-        }
-      }
-      --near_count_;
-    }
-    --size_;
-    // The popped key was the global minimum, so this never moves a live key
-    // out of the window (no-past-push keeps every live time >= near_start_).
-    near_start_ = h.time;
-    if (near_count_ == 0 && !far_.empty()) MigrateFar();
+    HS1_CHECK(!heap_.empty());
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const EventHandle h = heap_.back();
+    heap_.pop_back();
+    floor_ = h.time;
     return h;
   }
 
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
  private:
-  struct Slot {
-    uint64_t seq;
-    uint32_t idx;
-  };
-  struct Bucket {
-    std::vector<Slot> slots;
-    uint32_t head = 0;  // slots[head..) are live, ascending seq
-  };
-  struct FarEntry {
-    SimTime time;
-    uint64_t seq;
-    uint32_t idx;
-  };
-  struct FarLater {
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
+  struct Later {
+    bool operator()(const EventHandle& a, const EventHandle& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
-  bool InNear(SimTime t) const { return t - near_start_ < kSpan; }
-
-  /// Heap-inserts an entry beyond the ring's horizon (cold path).
-  void PushFar(SimTime t, uint64_t seq, uint32_t idx);
-  /// Heap-removes the far minimum (cold path).
-  void PopFarTop();
-  /// Ring is empty: moves every now-in-window far entry into it (cold path;
-  /// heap drain order keeps per-bucket appends seq-sorted).
-  void MigrateFar();
-
-  /// Recomputes cache_ from the ring + far heap. Precondition: size_ > 0.
-  void ComputeMin();
-
-  /// First non-empty bucket in ring order starting at `start`, via the
-  /// occupancy bitmap. Precondition: near_count_ > 0.
-  size_t FindLiveBucket(size_t start) const;
-
-  std::vector<Bucket> near_;             // kBuckets
-  std::vector<uint64_t> live_;           // occupancy bitmap, kBuckets bits
-  SimTime near_start_ = 0;               // lower bound on every live key
-  size_t near_count_ = 0;
-  std::vector<FarEntry> far_;            // min-heap under FarLater
-  size_t size_ = 0;
-
-  // Cached minimum: filled by Peek/ComputeMin, kept exact by Push (a push
-  // below the cached key replaces it), consumed by Pop.
-  EventHandle cache_{};
-  bool cache_valid_ = false;
-  bool cache_is_far_ = false;
+  std::vector<EventHandle> heap_;  // std heap order under Later
+  SimTime floor_ = 0;              // latest popped time
 };
 
 }  // namespace hotstuff1::sim

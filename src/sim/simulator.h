@@ -14,9 +14,10 @@
 // loop even when an executor is attached.
 //
 // Hot-path storage: pending events live as flat records in an EventArena
-// and are ordered by a calendar queue (event_queue.h); callbacks are
-// InlineFn (48-byte small-buffer storage). Scheduling and executing an
-// event allocates nothing once the arena and queue have warmed up —
+// and are ordered by a binary min-heap of 24-byte (time, seq, slot) handles
+// (event_queue.h); callbacks are InlineFn (48-byte small-buffer storage).
+// Scheduling and executing an event allocates nothing once the arena and
+// the heap's vector have grown to the run's peak of pending events —
 // tests/event_alloc_test.cc pins that property.
 
 #ifndef HOTSTUFF1_SIM_SIMULATOR_H_

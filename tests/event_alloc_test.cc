@@ -1,13 +1,14 @@
-// Pins the event loop's zero-allocation steady state: once the arena, the
-// calendar queue's bucket ring, and the message pool have warmed up,
-// scheduling and executing events — including full network broadcast
-// fan-out — must not touch the global allocator at all. This is enforced by
+// Pins the event loop's allocation-free steady state: once the arena and the
+// event heap have grown to the run's peak of pending events, scheduling and
+// executing events must not touch the global allocator at all, and a network
+// broadcast allocates exactly one block, its std::make_shared message;
+// delivery, egress accounting and ingress add nothing. This is enforced by
 // replacing operator new/delete for this binary with counting versions and
-// asserting the count does not move across a measured window.
+// checking the count across a measured window.
 //
 // If this test starts failing, some hot-path capture outgrew InlineFn's
-// 48-byte buffer, a message type outgrew the pool's size classes, or a
-// container on the schedule/execute path lost its capacity-reuse property.
+// 48-byte buffer, or a container on the schedule/execute/deliver path lost
+// its capacity-reuse property.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,8 @@
 #include <cstdlib>
 #include <new>
 
-#include "sim/message_pool.h"
+#include <memory>
+
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -77,8 +79,7 @@ TEST(EventAllocTest, TimerRingSteadyStateAllocatesNothing) {
   Simulator sim;
   uint64_t budget = 400'000;
   for (int i = 0; i < 64; ++i) sim.At(0, Tick{&sim, &budget});
-  // Warm up: grow the arena, lap the bucket ring (period 16 visits 1024
-  // distinct buckets), size every bucket's slot vector.
+  // Warm up: grow the arena and the heap to the 64 pending timers.
   while (budget > 100'000 && sim.Step()) {
   }
   ASSERT_GT(budget, 0u) << "warmup consumed the whole budget";
@@ -93,9 +94,9 @@ TEST(EventAllocTest, TimerRingSteadyStateAllocatesNothing) {
 struct PingMsg : NetMessage {};
 
 // Broadcast relay with constant in-flight population: each generation, the
-// sender's successor (alone) re-broadcasts a fresh pooled message, so every
-// generation is one MakeMessage + n-1 deliveries. Exercises MakeMessage,
-// shared_ptr fan-out, egress accounting, and the delivery callback path.
+// sender's successor (alone) re-broadcasts a fresh message, so every
+// generation is one make_shared + n-1 deliveries. Exercises shared_ptr
+// fan-out, egress accounting, and the delivery callback path.
 struct RelayNet {
   Network* net;
   uint64_t* hops;
@@ -106,41 +107,30 @@ struct RelayNet {
       net->SetHandler(id, [this, id, n](NodeId from, const NetMessagePtr&) {
         if (id != (from + 1) % n || *hops == 0) return;
         --*hops;
-        net->Broadcast(id, MakeMessage<PingMsg>(), /*include_self=*/false);
+        net->Broadcast(id, std::make_shared<PingMsg>(), /*include_self=*/false);
       });
     }
   }
 };
 
-TEST(EventAllocTest, BroadcastSteadyStateAllocatesNothing) {
+TEST(EventAllocTest, BroadcastSteadyStateAllocatesOnlyTheMessage) {
   Simulator sim;
   Network net(&sim, 8);
   uint64_t hops = 30'000;
   RelayNet relay{&net, &hops};
   relay.Install();
-  net.Broadcast(0, MakeMessage<PingMsg>(), /*include_self=*/false);
+  net.Broadcast(0, std::make_shared<PingMsg>(), /*include_self=*/false);
   while (hops > 10'000 && sim.Step()) {
   }
   ASSERT_GT(hops, 0u) << "warmup consumed the whole hop budget";
+  const uint64_t hops_before = hops;
   const uint64_t before = AllocCount();
   while (hops > 0 && sim.Step()) {
   }
-  EXPECT_EQ(AllocCount(), before)
-      << "broadcast steady state hit the heap";
+  // Each hop is one broadcast, and each broadcast one make_shared block.
+  EXPECT_EQ(AllocCount() - before, hops_before - hops)
+      << "broadcast steady state allocated beyond its messages";
   sim.Run();
-}
-
-TEST(EventAllocTest, MessagePoolRecyclesBlocks) {
-  // Warm one slot, then churn: every make/drop pair must be served from the
-  // thread-local cache.
-  MakeMessage<PingMsg>().reset();
-  ASSERT_GT(MessagePool::TlsCachedBlocks(), 0u);
-  const uint64_t before = AllocCount();
-  for (int i = 0; i < 10'000; ++i) {
-    auto m = MakeMessage<PingMsg>();
-    m.reset();
-  }
-  EXPECT_EQ(AllocCount(), before);
 }
 
 }  // namespace

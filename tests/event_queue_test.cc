@@ -1,10 +1,10 @@
-// Calendar-queue equivalence tests: EventQueue must pop live keys in exactly
-// the (time, seq) order std::priority_queue with the old EventLater
-// comparator produced — the determinism gates (byte-identical CSVs at any
-// --jobs/--lookahead) all stand on this. The randomized driver interleaves
-// >1e6 operations against a reference heap under the simulator's real usage
-// contract (no-past-push, globally ascending seqs); targeted tests pin the
-// far/near window edges and a capped run under an attached executor.
+// Event-queue order tests: EventQueue must pop keys in exactly the
+// (time, seq) order of a std::priority_queue over the same keys — the
+// determinism gates (byte-identical CSVs at any --jobs/--lookahead) all
+// stand on this. The randomized case interleaves >1e6 operations against
+// that reference under the simulator's real usage contract (no-past-push,
+// globally ascending seqs); targeted tests pin keys pushed far apart in time
+// and a capped run under an attached executor.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,10 @@ namespace {
 using Key = std::tuple<SimTime, uint64_t, uint32_t>;
 using RefQueue = std::priority_queue<Key, std::vector<Key>, std::greater<Key>>;
 
+// Virtual-time gap (us) past which a push models a long view timer or a geo
+// latency rather than a same-tick or short follow-on.
+constexpr SimTime kWideGap = 16384;
+
 void ExpectSameFront(EventQueue& q, const RefQueue& ref) {
   EventHandle h;
   ASSERT_TRUE(q.Peek(&h));
@@ -36,8 +40,8 @@ void ExpectSameFront(EventQueue& q, const RefQueue& ref) {
 // Drives `ops` random operations honoring the simulator's contract: every
 // push lands at or after the last popped time, seqs increase globally.
 // The delta distribution mixes heavy timestamp ties (same-tick broadcast
-// arrivals), short timers, in-window spreads, and far-horizon pushes that
-// overflow the 16384-slot ring.
+// arrivals), short timers, spreads up to kWideGap, and far-horizon pushes
+// beyond it.
 void RunRandomizedEquivalence(uint64_t seed, size_t ops) {
   std::mt19937_64 rng(seed);
   EventQueue q;
@@ -55,9 +59,9 @@ void RunRandomizedEquivalence(uint64_t seed, size_t ops) {
       } else if (shape < 85) {
         delta = static_cast<SimTime>(rng() % 128);
       } else if (shape < 97) {
-        delta = static_cast<SimTime>(rng() % EventQueue::kSpan);
+        delta = static_cast<SimTime>(rng() % kWideGap);
       } else {
-        delta = EventQueue::kSpan + static_cast<SimTime>(rng() % 100000);
+        delta = kWideGap + static_cast<SimTime>(rng() % 100000);
       }
       const SimTime t = last_pop + delta;
       const uint64_t seq = next_seq++;
@@ -118,48 +122,42 @@ TEST(EventQueueTest, PeekNeverAdvancesTheWindow) {
   EXPECT_EQ(q.Pop().time, 500);
 }
 
-TEST(EventQueueTest, FarEntriesMigrateAndUndercut) {
+TEST(EventQueueTest, OlderDistantKeyUndercutsNewerOnes) {
   EventQueue q;
   uint64_t seq = 0;
-  // 20000 overflows the ring (span 16384) and sits in the far heap.
   q.Push(0, seq++, 0);
-  q.Push(20000, seq++, 1);      // far
-  EXPECT_EQ(q.Pop().idx, 0u);   // ring empties; 20000 still out of window
-  q.Push(10000, seq++, 2);      // near
-  q.Push(10001, seq++, 3);      // near — keeps the ring non-empty below
-  EXPECT_EQ(q.Pop().idx, 2u);   // window floor -> 10000; 20000 now *inside*
-                                // the window but still in the far heap
-  q.Push(21000, seq++, 4);      // near (21000 - 10000 < 16384)
+  q.Push(20000, seq++, 1);      // more than kWideGap past the floor
+  EXPECT_EQ(q.Pop().idx, 0u);
+  q.Push(10000, seq++, 2);
+  q.Push(10001, seq++, 3);
+  EXPECT_EQ(q.Pop().idx, 2u);   // floor -> 10000
+  q.Push(21000, seq++, 4);      // pushed after 20000, due after it
   EXPECT_EQ(q.Pop().idx, 3u);
-  // Ring holds 21000, far holds 20000: the far entry undercuts the ring.
+  // The key pushed first, before the floor moved, is still the minimum.
   EXPECT_EQ(q.Pop().idx, 1u);
   EXPECT_EQ(q.Pop().idx, 4u);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueTest, FarEntryTiesWithNearAtSameTime) {
+TEST(EventQueueTest, SameTimeKeysPushedApartPopInSeqOrder) {
   EventQueue q;
   q.Push(0, 0, 0);
-  q.Push(20000, 1, 1);         // far, seq 1
+  q.Push(20000, 1, 1);         // more than kWideGap past the floor, seq 1
   q.Push(1, 2, 2);
   q.Push(2, 3, 3);
   EXPECT_EQ(q.Pop().idx, 0u);
-  EXPECT_EQ(q.Pop().idx, 2u);  // floor is now 1; 20000 is in-window, far
-  q.Push(20000, 4, 4);         // same time lands in the *ring*, seq 4
+  EXPECT_EQ(q.Pop().idx, 2u);  // floor -> 1
+  q.Push(20000, 4, 4);         // same time, pushed later, seq 4
   EXPECT_EQ(q.Pop().idx, 3u);
-  // Both live at t=20000; the far entry carries the smaller seq.
+  // Both live at t=20000; the earlier push carries the smaller seq.
   EXPECT_EQ(q.Pop().seq, 1u);
   EXPECT_EQ(q.Pop().seq, 4u);
 }
 
-TEST(EventQueueTest, TailBucketWrappingIntoStartWordIsFound) {
+TEST(EventQueueTest, LoneKeyJustInsideTheWideGapIsFound) {
   EventQueue q;
-  // Advance the window floor to 100 (start bucket 100 = bitmap word 1,
-  // bit 36), then park the only live event at the *tail* of the window:
-  // t = 16474 is in-window (16474 - 100 < 16384) but its ring bucket
-  // (16474 mod 16384 = 90) wraps into word 1 at bit 26 — *below* the start
-  // bit. A bitmap scan that masks the starting word and never revisits it
-  // cannot see this bucket and dies with "live bitmap empty".
+  // Raise the floor to 100, then park the only live key just short of
+  // kWideGap past it (16474 - 100 < 16384): it must be found and popped.
   q.Push(100, 0, 0);
   EXPECT_EQ(q.Pop().idx, 0u);
   q.Push(16474, 1, 7);
@@ -199,7 +197,7 @@ TEST(EventQueueSimTest, NestedSchedulingKeepsAscendingOrder) {
       fired->push_back(sim->Now());
       if (depth == 0) return;
       sim->After(3, Spawner{sim, fired, depth - 1});
-      sim->After(17000, Spawner{sim, fired, depth - 1});  // crosses the ring
+      sim->After(17000, Spawner{sim, fired, depth - 1});  // a long timer
     }
   };
   sim.At(0, Spawner{&sim, &fired, 10});

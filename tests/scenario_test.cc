@@ -221,11 +221,16 @@ TEST(SweepRunnerTest, OverridesApplyUnderSmoke) {
 }
 
 TEST(SweepRunnerTest, OverrideThatBreaksAPointRunsNothing) {
-  // --faulty=5 cannot run at TinySpec's n=4 row: the sweep reports it in
-  // flag terms (hs1bench exits 2) instead of aborting inside Setup.
-  const SweepOutcome outcome = SweepRunner(1, {{"faulty", "5"}}).Run(TinySpec());
-  EXPECT_NE(outcome.error.find("--faulty=5"), std::string::npos) << outcome.error;
-  EXPECT_TRUE(outcome.results.empty());
+  // --faulty=5 cannot run at TinySpec's n=4 row, and --clients=4194305
+  // overflows one client group's closed-loop slots: the sweep reports each
+  // in flag terms (hs1bench exits 2) instead of aborting inside the run.
+  for (const KnobSetting& bad : {KnobSetting{"faulty", "5"},
+                                 KnobSetting{"clients", "4194305"}}) {
+    const SweepOutcome outcome = SweepRunner(1, {bad}).Run(TinySpec());
+    EXPECT_NE(outcome.error.find("--" + bad.flag + "=" + bad.value), std::string::npos)
+        << outcome.error;
+    EXPECT_TRUE(outcome.results.empty());
+  }
 }
 
 TEST(SweepRunnerTest, ComputeStatsMatchesHandValues) {
