@@ -61,7 +61,7 @@ ScenarioSpec FigLiveness() {
   spec.smoke = [](ExperimentConfig&) {};
 
   spec.judge = JudgeEachPoint([](const SweepPoint& p, const ExperimentResult& r) {
-    const uint32_t f = (p.config.n - 1) / 3;
+    const uint32_t f = p.config.f();
     if (!r.safety_ok || r.oracle_violations != 0) return false;
     return p.config.num_faulty > f ? r.liveness_violations > 0
                                    : r.liveness_violations == 0;

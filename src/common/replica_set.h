@@ -2,14 +2,9 @@
 // "a set of replica ids" wherever quorums are counted — client response
 // tallies, leader-side NewView/Wish sender tracking. A plain uint64_t mask
 // caps committees at one machine word (n <= 64) and silently aliases ids via
-// `1ULL << (id % 64)`; BasicReplicaSet raises the cap to its Capacity
-// parameter and turns any out-of-range id into a hard check instead of a
-// vote for somebody else.
-//
-// The capacity is a compile-time parameter: `ReplicaSet` (what all quorum
-// structures speak) is BasicReplicaSet<HS1_REPLICA_SET_CAPACITY>, 512 by
-// default and overridable at configure time
-// (-DHS1_REPLICA_SET_CAPACITY=1024) — no code edits needed to go past it.
+// `1ULL << (id % 64)`; ReplicaSet raises the cap to kCapacity = 512 and
+// turns any out-of-range id into a hard check instead of a vote for
+// somebody else.
 //
 // Value semantics are cheap by design (a few words, trivially copyable), so
 // the type can live inside per-transaction tallies that are created and
@@ -25,19 +20,16 @@
 
 namespace hotstuff1 {
 
-template <uint32_t Capacity>
-class BasicReplicaSet {
-  static_assert(Capacity > 0 && Capacity % 64 == 0,
-                "ReplicaSet capacity must be a positive multiple of 64");
-
+class ReplicaSet {
  public:
-  /// Largest committee this quorum-tracking structure supports.
-  static constexpr uint32_t kCapacity = Capacity;
+  /// Largest committee any quorum-tracking structure supports (the n = 512
+  /// scalability extension; a multiple of 64).
+  static constexpr uint32_t kCapacity = 512;
 
-  constexpr BasicReplicaSet() = default;
+  constexpr ReplicaSet() = default;
 
-  static BasicReplicaSet Single(uint32_t r) {
-    BasicReplicaSet s;
+  static ReplicaSet Single(uint32_t r) {
+    ReplicaSet s;
     s.Set(r);
     return s;
   }
@@ -68,45 +60,30 @@ class BasicReplicaSet {
     return true;
   }
 
-  BasicReplicaSet& operator|=(const BasicReplicaSet& o) {
+  ReplicaSet& operator|=(const ReplicaSet& o) {
     for (uint32_t i = 0; i < kWords; ++i) words_[i] |= o.words_[i];
     return *this;
   }
-  BasicReplicaSet& operator&=(const BasicReplicaSet& o) {
+  ReplicaSet& operator&=(const ReplicaSet& o) {
     for (uint32_t i = 0; i < kWords; ++i) words_[i] &= o.words_[i];
     return *this;
   }
 
-  friend BasicReplicaSet operator|(BasicReplicaSet a, const BasicReplicaSet& b) {
-    return a |= b;
-  }
-  friend BasicReplicaSet operator&(BasicReplicaSet a, const BasicReplicaSet& b) {
-    return a &= b;
-  }
+  friend ReplicaSet operator|(ReplicaSet a, const ReplicaSet& b) { return a |= b; }
+  friend ReplicaSet operator&(ReplicaSet a, const ReplicaSet& b) { return a &= b; }
 
-  friend bool operator==(const BasicReplicaSet& a, const BasicReplicaSet& b) {
+  friend bool operator==(const ReplicaSet& a, const ReplicaSet& b) {
     for (uint32_t i = 0; i < kWords; ++i) {
       if (a.words_[i] != b.words_[i]) return false;
     }
     return true;
   }
-  friend bool operator!=(const BasicReplicaSet& a, const BasicReplicaSet& b) {
-    return !(a == b);
-  }
+  friend bool operator!=(const ReplicaSet& a, const ReplicaSet& b) { return !(a == b); }
 
  private:
-  static constexpr uint32_t kWords = Capacity / 64;
+  static constexpr uint32_t kWords = kCapacity / 64;
   uint64_t words_[kWords] = {};
 };
-
-/// Committee-size ceiling every quorum structure shares. A configure-time
-/// knob rather than a code edit: pass -DHS1_REPLICA_SET_CAPACITY=<mult of
-/// 64> to raise it further.
-#ifndef HS1_REPLICA_SET_CAPACITY
-#define HS1_REPLICA_SET_CAPACITY 512
-#endif
-
-using ReplicaSet = BasicReplicaSet<HS1_REPLICA_SET_CAPACITY>;
 
 }  // namespace hotstuff1
 

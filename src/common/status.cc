@@ -2,51 +2,13 @@
 
 namespace hotstuff1 {
 
-namespace {
-const std::string kEmptyString;
-}  // namespace
-
-Status::Status(StatusCode code, std::string msg)
-    : state_(code == StatusCode::kOk
-                 ? nullptr
-                 : std::make_unique<State>(State{code, std::move(msg)})) {}
-
-Status::Status(const Status& other)
-    : state_(other.state_ ? std::make_unique<State>(*other.state_) : nullptr) {}
-
-Status& Status::operator=(const Status& other) {
-  if (this != &other) {
-    state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
-  }
-  return *this;
-}
-
 const std::string& Status::message() const {
-  return state_ ? state_->msg : kEmptyString;
-}
-
-const char* StatusCodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk: return "OK";
-    case StatusCode::kInvalidArgument: return "InvalidArgument";
-    case StatusCode::kNotFound: return "NotFound";
-    case StatusCode::kAlreadyExists: return "AlreadyExists";
-    case StatusCode::kFailedPrecondition: return "FailedPrecondition";
-    case StatusCode::kOutOfRange: return "OutOfRange";
-    case StatusCode::kUnauthenticated: return "Unauthenticated";
-    case StatusCode::kProtocolViolation: return "ProtocolViolation";
-    case StatusCode::kInternal: return "Internal";
-    case StatusCode::kUnavailable: return "Unavailable";
-  }
-  return "Unknown";
+  static const std::string kEmpty;
+  return error_ ? *error_ : kEmpty;
 }
 
 std::string Status::ToString() const {
-  if (ok()) return "OK";
-  std::string out = StatusCodeName(code());
-  out += ": ";
-  out += message();
-  return out;
+  return ok() ? "OK" : "Unauthenticated: " + *error_;
 }
 
 std::ostream& operator<<(std::ostream& os, const Status& status) {

@@ -1,5 +1,6 @@
-// Status / Result error handling in the Arrow/RocksDB idiom: no exceptions,
-// explicit propagation, cheap OK path.
+// Status: the outcome of a signature or certificate check. No exceptions:
+// a check returns OK, or Unauthenticated with a message naming what failed
+// (a quorum too small, a duplicate signer, a bad share).
 
 #ifndef HOTSTUFF1_COMMON_STATUS_H_
 #define HOTSTUFF1_COMMON_STATUS_H_
@@ -11,98 +12,28 @@
 
 namespace hotstuff1 {
 
-enum class StatusCode : int {
-  kOk = 0,
-  kInvalidArgument = 1,
-  kNotFound = 2,
-  kAlreadyExists = 3,
-  kFailedPrecondition = 4,
-  kOutOfRange = 5,
-  kUnauthenticated = 6,   // bad signature / malformed certificate
-  kProtocolViolation = 7, // message violates protocol rules
-  kInternal = 8,
-  kUnavailable = 9,
-};
-
-/// \brief Operation outcome. OK is represented by a null state pointer, so
-/// the success path costs one pointer compare.
+/// \brief OK, or an authentication failure with its message. OK is a null
+/// pointer, so the success path costs one pointer compare.
 class Status {
  public:
-  Status() = default;
-  Status(StatusCode code, std::string msg);
-
-  Status(const Status& other);
-  Status& operator=(const Status& other);
-  Status(Status&&) = default;
-  Status& operator=(Status&&) = default;
-
   static Status OK() { return Status(); }
-  static Status InvalidArgument(std::string msg) {
-    return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status Unauthenticated(std::string msg) {
-    return Status(StatusCode::kUnauthenticated, std::move(msg));
-  }
-  static Status ProtocolViolation(std::string msg) {
-    return Status(StatusCode::kProtocolViolation, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
+    Status st;
+    st.error_ = std::make_shared<const std::string>(std::move(msg));
+    return st;
   }
 
-  bool ok() const { return state_ == nullptr; }
-  StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
+  bool ok() const { return error_ == nullptr; }
+  /// "" when OK.
   const std::string& message() const;
-
-  bool IsInvalidArgument() const { return code() == StatusCode::kInvalidArgument; }
-  bool IsNotFound() const { return code() == StatusCode::kNotFound; }
-  bool IsAlreadyExists() const { return code() == StatusCode::kAlreadyExists; }
-  bool IsFailedPrecondition() const {
-    return code() == StatusCode::kFailedPrecondition;
-  }
-  bool IsOutOfRange() const { return code() == StatusCode::kOutOfRange; }
-  bool IsUnauthenticated() const { return code() == StatusCode::kUnauthenticated; }
-  bool IsProtocolViolation() const {
-    return code() == StatusCode::kProtocolViolation;
-  }
-  bool IsInternal() const { return code() == StatusCode::kInternal; }
-  bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
-
+  /// "OK" or "Unauthenticated: <message>".
   std::string ToString() const;
 
  private:
-  struct State {
-    StatusCode code;
-    std::string msg;
-  };
-  std::unique_ptr<State> state_;
+  std::shared_ptr<const std::string> error_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
-
-const char* StatusCodeName(StatusCode code);
-
-/// Propagate a non-OK Status to the caller.
-#define HS1_RETURN_NOT_OK(expr)                  \
-  do {                                           \
-    ::hotstuff1::Status _st = (expr);            \
-    if (!_st.ok()) return _st;                   \
-  } while (0)
 
 }  // namespace hotstuff1
 

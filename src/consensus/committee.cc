@@ -13,12 +13,11 @@ bool Committee::Contains(ReplicaId r) const {
 }
 
 const Committee& CommitteeSchedule::AtEpoch(uint32_t epoch) const {
-  HS1_CHECK(!steps.empty()) << "AtEpoch on an empty committee schedule";
   // Last step with from_epoch <= epoch; steps are strictly increasing and
-  // steps[0].from_epoch == 0, so the scan always lands.
+  // steps[0].from_epoch == 0, so the scan lands on any resolved schedule.
   size_t i = steps.size();
   while (i > 0 && steps[i - 1].from_epoch > epoch) --i;
-  HS1_CHECK_GE(i, 1u);
+  HS1_CHECK_GE(i, 1u) << "committee schedule not resolved";
   return steps[i - 1].committee;
 }
 
@@ -95,6 +94,17 @@ bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,
   }
   *out = std::move(sched);
   return true;
+}
+
+CommitteeSchedule ResolveCommittee(CommitteeSchedule given, uint32_t n) {
+  if (given.empty()) {
+    CommitteeStep full;
+    for (ReplicaId r = 0; r < n; ++r) full.committee.members.push_back(r);
+    given.steps.push_back(std::move(full));
+  }
+  HS1_CHECK_LT(given.MaxMember(), n) << "committee member outside allocation";
+  given.views_per_epoch = (n - 1) / 3 + 1;
+  return given;
 }
 
 std::string FormatCommitteeSchedule(const CommitteeSchedule& s) {

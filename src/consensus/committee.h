@@ -6,8 +6,9 @@
 // at certified epoch boundaries, so `Network`/shard maps stay fixed-size and
 // the conservative lookahead horizon stays valid.
 //
-// A null schedule on ConsensusConfig means "the full static committee",
-// byte-identical to every pre-reconfiguration run.
+// Every run resolves its schedule once (ResolveCommittee): the static
+// committee is the one-step schedule "0:0-(n-1)", so leaders, quorums and
+// membership always come from a schedule.
 
 #ifndef HOTSTUFF1_CONSENSUS_COMMITTEE_H_
 #define HOTSTUFF1_CONSENSUS_COMMITTEE_H_
@@ -53,7 +54,7 @@ struct CommitteeStep {
 /// f_base+1 fixed by the *allocated* committee for the whole run (membership
 /// changes must not move the epoch boundaries the Wish/TC synchronization
 /// already certifies). `views_per_epoch` is 0 in an unresolved schedule (as
-/// parsed from text) and is stamped by Experiment::Setup.
+/// parsed from text) and is stamped by ResolveCommittee.
 struct CommitteeSchedule {
   uint64_t views_per_epoch = 0;
   std::vector<CommitteeStep> steps;  // strictly increasing from_epoch; [0] at epoch 0
@@ -106,6 +107,12 @@ bool ParseCommitteeSchedule(const std::string& text, CommitteeSchedule* out,
 
 /// Inverse of ParseCommitteeSchedule (round-trips through Parse).
 std::string FormatCommitteeSchedule(const CommitteeSchedule& s);
+
+/// The one resolution step: the schedule an allocation of `n` replicas runs
+/// on. An empty `given` becomes the one-step full committee 0..n-1; either
+/// way views_per_epoch is stamped to f+1 with f = floor((n-1)/3). Every
+/// member must be < n.
+CommitteeSchedule ResolveCommittee(CommitteeSchedule given, uint32_t n);
 
 }  // namespace hotstuff1
 

@@ -234,30 +234,37 @@ struct AdversarySpec {
   }
 };
 
+/// The parameter set every protocol core and the pacemaker run on (Figs.
+/// 2-4, 7): the committee with its round-robin leaders and n-f quorums, the
+/// view timer and the delay bound, the virtual CPU costs, and the ablation
+/// and mutation hooks. ExperimentConfig (runtime/experiment.h) extends it
+/// with the world around the protocol, so each field here is also a knob.
 struct ConsensusConfig {
-  uint32_t n = 4;
-  uint32_t f = 1;
+  /// Allocated replicas (the paper's default point is n = 32). The fault
+  /// bound f follows: f() = floor((n-1)/3).
+  uint32_t n = 32;
   uint32_t batch_size = 100;
   /// Assumed transmission bound Δ (drives ShareTimer = entry + 3Δ).
   SimTime delta = Millis(2);
   /// View timer length τ handed to the pacemaker.
   SimTime view_timer = Millis(10);
+  /// Slotted HotStuff-1: cap on slots per view; 0 = adaptive (as many as the
+  /// view timer allows, §6.1).
+  uint32_t max_slots = 0;
   CostModel costs;
   /// Wire encoding of shares/certificates — a pure byte-size axis charged by
   /// Network's bandwidth serialization (crypto/authenticator.h). The
   /// consensus-visible certificate contract is scheme-independent.
   CertScheme cert_scheme = CertScheme::kMultisigVector;
 
-  /// Slotted HotStuff-1: cap on slots per view; 0 = adaptive (as many as the
-  /// view timer allows, §6.1).
-  uint32_t max_slots_per_view = 0;
-
-  /// Epoch-based committee reconfiguration schedule (resolved:
-  /// views_per_epoch > 0). Null = the full static committee of n nodes —
-  /// byte-identical legacy behaviour. When set, `n`/`f` describe the
-  /// *allocated* node pool (epoch geometry, transport sizing, fault masks);
-  /// per-view quorum/leader arithmetic goes through the schedule.
-  std::shared_ptr<const CommitteeSchedule> committee;
+  /// Epoch-based committee reconfiguration (--reconfig; grammar in
+  /// consensus/committee.h). All `n` nodes are allocated up front, and the
+  /// schedule switches each between member and standby at pacemaker epoch
+  /// boundaries; every member id must be < n. Empty as typed means the static
+  /// full committee. Replicas, the pacemaker and the oracle only ever see
+  /// the resolved form (ResolveCommittee): at least one step, and
+  /// views_per_epoch = f+1.
+  CommitteeSchedule reconfig;
 
   // --- ablation & test hooks -------------------------------------------------
   /// Disable speculative responses entirely (HotStuff-1 degenerates to
@@ -287,18 +294,11 @@ struct ConsensusConfig {
   /// height. Never enable outside tests.
   bool test_break_reconfig = false;
 
-  uint32_t quorum() const { return n - f; }
+  uint32_t f() const { return (n - 1) / 3; }
+  uint32_t quorum() const { return n - f(); }
 
   /// Size model the transport stamps onto outgoing messages.
   AuthSizeModel auth_model() const { return AuthSizeModel{cert_scheme, n}; }
-
-  /// Standard configuration for n replicas with f = floor((n-1)/3).
-  static ConsensusConfig ForN(uint32_t n) {
-    ConsensusConfig cfg;
-    cfg.n = n;
-    cfg.f = (n - 1) / 3;
-    return cfg;
-  }
 };
 
 }  // namespace hotstuff1

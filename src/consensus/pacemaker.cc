@@ -5,40 +5,13 @@
 namespace hotstuff1 {
 
 Pacemaker::Pacemaker(sim::Simulator* sim, const KeyRegistry* registry, Signer signer,
-                     uint32_t n, uint32_t f, SimTime tau, SimTime delta, Callbacks cb)
+                     const ConsensusConfig& config, Callbacks cb)
     : sim_(sim),
       registry_(registry),
       signer_(signer),
-      n_(n),
-      f_(f),
-      tau_(tau),
-      delta_(delta),
-      cb_(std::move(cb)) {}
-
-void Pacemaker::set_committee(std::shared_ptr<const CommitteeSchedule> committee) {
-  if (committee) {
-    HS1_CHECK_EQ(committee->views_per_epoch, static_cast<uint64_t>(f_) + 1)
-        << "committee schedule epoch geometry must match the pacemaker's";
-  }
-  committee_ = std::move(committee);
-}
-
-uint32_t Pacemaker::WishQuorum(uint64_t view) const {
-  return committee_ ? committee_->AtView(view).quorum() : n_ - f_;
-}
-
-uint32_t Pacemaker::AggregatorF(uint64_t view) const {
-  return committee_ ? committee_->AtView(view).f() : f_;
-}
-
-ReplicaId Pacemaker::Aggregator(uint64_t view, uint32_t k) const {
-  if (!committee_) return static_cast<ReplicaId>((view + k) % n_);
-  const Committee& c = committee_->AtView(view);
-  return c.members[(view + k) % c.members.size()];
-}
-
-bool Pacemaker::IsWishMember(uint64_t view, ReplicaId r) const {
-  return !committee_ || committee_->AtView(view).Contains(r);
+      config_(config),
+      cb_(std::move(cb)) {
+  HS1_CHECK(committee().views_per_epoch > 0) << "committee schedule not resolved";
 }
 
 Hash256 Pacemaker::WishDigest(uint64_t view) const {
@@ -55,7 +28,7 @@ void Pacemaker::Start() {
 }
 
 void Pacemaker::CompletedView(uint64_t next_view) {
-  if (next_view % (f_ + 1) != 0) {
+  if (next_view % committee().views_per_epoch != 0) {
     EnterView(next_view);
   } else {
     SynchronizeEpoch(next_view);
@@ -68,15 +41,18 @@ void Pacemaker::SynchronizeEpoch(uint64_t view) {
   // test_break_liveness: the replica blocks waiting for a TC that no one will
   // ever assemble (every replica drops its Wishes past epoch 0), modelling a
   // view-synchronization bug that stalls the system without violating safety.
-  if (break_epoch_sync_ && view > 0) return;
+  if (config_.test_break_liveness && view > 0) return;
   // Standby replicas hold no wish power for this boundary's committee; they
   // block here and join the epoch when the TC broadcast arrives.
-  if (!IsWishMember(view, signer_.id())) return;
+  const Committee& boundary = committee().AtView(view);
+  if (!boundary.Contains(signer_.id())) return;
   auto msg = std::make_shared<WishMsg>(signer_.id());
   msg->view = view;
   msg->share = signer_.Sign(SignDomain::kWish, WishDigest(view));
-  for (uint32_t k = 0; k <= AggregatorF(view); ++k) {
-    cb_.send_wish(Aggregator(view, k), msg);
+  // The aggregators are the epoch's first f+1 leaders; `view` starts the
+  // epoch and k <= f, so each view + k still lies inside it.
+  for (uint32_t k = 0; k <= boundary.f(); ++k) {
+    cb_.send_wish(committee().LeaderOfView(view + k), msg);
   }
 }
 
@@ -88,13 +64,14 @@ void Pacemaker::OnWish(const WishMsg& msg) {
   // Only the boundary committee's shares count toward the TC quorum: a
   // voted-out (or never-admitted) replica must not be able to help certify
   // an epoch it holds no power in.
-  if (!IsWishMember(msg.view, msg.share.signer)) return;
+  const Committee& boundary = committee().AtView(msg.view);
+  if (!boundary.Contains(msg.share.signer)) return;
   WishState& ws = wishes_[msg.view];
   if (ws.tc_sent) return;
   if (ws.signers.Test(msg.share.signer)) return;
   ws.signers.Set(msg.share.signer);
   ws.sigs.push_back(msg.share);
-  if (ws.signers.Count() >= WishQuorum(msg.view)) {
+  if (ws.signers.Count() >= boundary.quorum()) {
     ws.tc_sent = true;
     auto tc = std::make_shared<TimeoutCertMsg>(signer_.id());
     tc->view = msg.view;
@@ -105,9 +82,9 @@ void Pacemaker::OnWish(const WishMsg& msg) {
 
 void Pacemaker::OnTimeoutCert(const TimeoutCertMsg& msg) {
   if (tc_handled_.count(msg.view)) return;
+  const Committee& boundary = committee().AtView(msg.view);
   const Status st = registry_->VerifyQuorum(msg.sigs, SignDomain::kWish,
-                                            WishDigest(msg.view),
-                                            WishQuorum(msg.view));
+                                            WishDigest(msg.view), boundary.quorum());
   if (!st.ok()) {
     HS1_LOG_WARN() << "pacemaker: bad TC for view " << msg.view << ": " << st;
     return;
@@ -119,8 +96,8 @@ void Pacemaker::OnTimeoutCert(const TimeoutCertMsg& msg) {
   auto relay = std::make_shared<TimeoutCertMsg>(signer_.id());
   relay->view = msg.view;
   relay->sigs = msg.sigs;
-  for (uint32_t k = 0; k <= AggregatorF(msg.view); ++k) {
-    cb_.send_tc(Aggregator(msg.view, k), relay);
+  for (uint32_t k = 0; k <= boundary.f(); ++k) {
+    cb_.send_tc(committee().LeaderOfView(msg.view + k), relay);
   }
 
   ScheduleEpochTimers(msg.view, sim_->Now());
@@ -134,9 +111,9 @@ void Pacemaker::OnTimeoutCert(const TimeoutCertMsg& msg) {
 void Pacemaker::ScheduleEpochTimers(uint64_t first_view, SimTime tc_time) {
   // StartTime[first + k] = tc_time + k*tau; the start of view v+1 is the
   // timeout of view v.
-  for (uint32_t k = 0; k <= f_; ++k) {
+  for (uint64_t k = 0; k < committee().views_per_epoch; ++k) {
     const uint64_t v = first_view + k;
-    sim_->At(tc_time + static_cast<SimTime>(k + 1) * tau_, [this, v]() {
+    sim_->At(tc_time + static_cast<SimTime>(k + 1) * config_.view_timer, [this, v]() {
       // Drive the replica forward until it has left view v; guard against
       // re-entrancy when the replica is blocked on an epoch boundary.
       while (current_view_ <= v && !waiting_for_tc_) {

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/replica_set.h"
-#include "consensus/committee.h"
+#include "consensus/config.h"
 #include "consensus/messages.h"
 #include "crypto/signer.h"
 #include "sim/simulator.h"
@@ -40,8 +40,11 @@ class Pacemaker {
     std::function<void(ReplicaId to, std::shared_ptr<TimeoutCertMsg>)> send_tc;
   };
 
+  /// Runs on `config`'s resolved committee (ResolveCommittee), view timer
+  /// and test_break_liveness hook. `config` must outlive the pacemaker: a
+  /// replica passes its own.
   Pacemaker(sim::Simulator* sim, const KeyRegistry* registry, Signer signer,
-            uint32_t n, uint32_t f, SimTime tau, SimTime delta, Callbacks cb);
+            const ConsensusConfig& config, Callbacks cb);
 
   /// Begins operation: synchronizes the first epoch (view 1).
   void Start();
@@ -54,29 +57,15 @@ class Pacemaker {
   void OnTimeoutCert(const TimeoutCertMsg& msg);
 
   uint64_t current_view() const { return current_view_; }
-  /// Virtual time at which this replica entered its current view; the
-  /// leader's ShareTimer deadline is entered_at() + 3 * delta (§4.2.1).
+  /// Virtual time at which this replica entered its current view.
   SimTime entered_at() const { return entered_at_; }
-  SimTime share_timer_deadline() const { return entered_at_ + 3 * delta_; }
-  SimTime tau() const { return tau_; }
 
   uint64_t epochs_synchronized() const { return epochs_synchronized_; }
 
-  /// Mutation hook (ConsensusConfig::test_break_liveness): stop sending Wish
-  /// messages for every epoch after the first, so view synchronization
-  /// silently starves once epoch 0's views complete. Safety stays intact —
-  /// only the liveness oracle's progress monitor can catch this.
-  void set_break_epoch_sync(bool broken) { break_epoch_sync_ = broken; }
-
   /// First view of the epoch containing `view`.
-  uint64_t EpochStart(uint64_t view) const { return view - (view % (f_ + 1)); }
-
-  /// Committee reconfiguration: wish sending, aggregation targets, and TC
-  /// quorum arithmetic follow the view's epoch committee. Epoch *geometry*
-  /// (f_+1 views per epoch) stays pinned to the allocated pool — membership
-  /// changes must not move the certified boundaries — so the schedule's
-  /// views_per_epoch must equal f_+1.
-  void set_committee(std::shared_ptr<const CommitteeSchedule> committee);
+  uint64_t EpochStart(uint64_t view) const {
+    return view - view % committee().views_per_epoch;
+  }
 
   /// Bounded-state introspection (the per-view Wish/TC maps are pruned below
   /// the current epoch; see PruneStaleViews).
@@ -89,27 +78,20 @@ class Pacemaker {
   void ScheduleEpochTimers(uint64_t first_view, SimTime tc_time);
   void PruneStaleViews();
   Hash256 WishDigest(uint64_t view) const;
-
-  /// Wish quorum for the epoch boundary at `view` (committee-aware n-f).
-  uint32_t WishQuorum(uint64_t view) const;
-  /// Number of wish/TC aggregation targets for the boundary at `view` - 1.
-  uint32_t AggregatorF(uint64_t view) const;
-  /// k-th aggregation target: the k-th leader of the epoch starting at `view`.
-  ReplicaId Aggregator(uint64_t view, uint32_t k) const;
-  /// Is `r` allowed to contribute a Wish share for the boundary at `view`?
-  bool IsWishMember(uint64_t view, ReplicaId r) const;
+  /// Wish sending, aggregation targets and TC quorums follow the committee
+  /// of the boundary's epoch. Epoch *geometry* (f+1 views per epoch) stays
+  /// pinned to the allocated pool: membership changes must not move the
+  /// boundaries the Wish/TC synchronization certifies.
+  const CommitteeSchedule& committee() const { return config_.reconfig; }
 
   sim::Simulator* sim_;
   const KeyRegistry* registry_;
   Signer signer_;
-  uint32_t n_, f_;
-  SimTime tau_, delta_;
+  const ConsensusConfig& config_;
   Callbacks cb_;
-  std::shared_ptr<const CommitteeSchedule> committee_;  // null = static
 
   uint64_t current_view_ = 0;
   SimTime entered_at_ = 0;
-  bool break_epoch_sync_ = false;
   bool waiting_for_tc_ = false;
   uint64_t pending_epoch_view_ = 0;
 

@@ -20,8 +20,7 @@ ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
       sink_(sink),
       ledger_(&store_, std::move(initial_state)),
       pacemaker_(
-          net->simulator(), registry, Signer(registry, id), config.n, config.f,
-          config.view_timer, config.delta,
+          net->simulator(), registry, Signer(registry, id), config_,
           Pacemaker::Callbacks{
               [this](uint64_t v) {
                 if (!crashed_) {
@@ -49,16 +48,15 @@ ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
   net_->SetHandler(id_, [this](sim::NodeId from, const sim::NetMessagePtr& msg) {
     HandleMessage(from, msg);
   });
-  if (config_.test_break_liveness) pacemaker_.set_break_epoch_sync(true);
-  if (config_.committee) pacemaker_.set_committee(config_.committee);
 }
 
 void ReplicaBase::MaybeBreakReconfig(uint64_t view) {
-  if (!config_.test_break_reconfig || !config_.committee) return;
-  const uint32_t epoch = config_.committee->EpochOf(view);
-  if (epoch == 0 || view % config_.committee->views_per_epoch != 0) return;
-  const Committee& prev = config_.committee->AtEpoch(epoch - 1);
-  const Committee& cur = config_.committee->AtEpoch(epoch);
+  if (!config_.test_break_reconfig) return;
+  const CommitteeSchedule& committee = config_.reconfig;
+  const uint32_t epoch = committee.EpochOf(view);
+  if (epoch == 0 || view % committee.views_per_epoch != 0) return;
+  const Committee& prev = committee.AtEpoch(epoch - 1);
+  const Committee& cur = committee.AtEpoch(epoch);
   if (!prev.Contains(id_) || cur.Contains(id_)) return;
   // Voted out: commit a fabricated block on the committed tip at a height
   // the new committee will also commit, then halt. Halting keeps the local
@@ -353,7 +351,7 @@ bool ReplicaBase::EnsureBlock(const Hash256& hash, ReplicaId hint) {
   // voted for the block will answer (§4.2).
   SendTo(hint, req);
   uint32_t asked = 0;
-  for (ReplicaId r = 0; r < config_.n && asked < config_.f; ++r) {
+  for (ReplicaId r = 0; r < config_.n && asked < config_.f(); ++r) {
     if (r == hint || r == id_) continue;
     SendTo(r, req);
     ++asked;

@@ -136,7 +136,7 @@ class ReplicaBase {
   template <typename Propose>
   bool DeferIfSlowLeader(uint64_t v, Propose propose) {
     if (!adversary_.SlowLeader(Now())) return false;
-    const SimTime when = pacemaker_.entered_at() + (pacemaker_.tau() * 3) / 4;
+    const SimTime when = pacemaker_.entered_at() + (config_.view_timer * 3) / 4;
     simulator()->At(when, [this, v, propose]() mutable {
       if (!crashed_ && view() == v) propose();
     });
@@ -174,28 +174,18 @@ class ReplicaBase {
   void RecordJustify(const Hash256& block_hash, const Certificate& justify);
 
   // --- per-view committee arithmetic -----------------------------------------
-  // With a reconfiguration schedule, leadership, quorum sizes, and the right
-  // to vote/propose/aggregate are functions of the view's epoch committee;
-  // without one they collapse to the static n/f arithmetic. Non-members stay
-  // full learners/executors (they receive broadcasts, commit via
-  // certificates, answer clients) — they just hold no protocol power.
-  ReplicaId LeaderOf(uint64_t v) const {
-    if (config_.committee) return config_.committee->LeaderOfView(v);
-    return static_cast<ReplicaId>(v % config_.n);
-  }
+  // Leadership, quorum sizes, and the right to vote/propose/aggregate are
+  // functions of the view's epoch committee in the resolved schedule (the
+  // static committee is its one step). Non-members stay full
+  // learners/executors (they receive broadcasts, commit via certificates,
+  // answer clients) — they just hold no protocol power.
+  ReplicaId LeaderOf(uint64_t v) const { return config_.reconfig.LeaderOfView(v); }
   bool IsLeaderOf(uint64_t v) const { return LeaderOf(v) == id_; }
-  uint32_t QuorumOf(uint64_t v) const {
-    return config_.committee ? config_.committee->AtView(v).quorum()
-                             : config_.quorum();
-  }
-  uint32_t CommitteeNOf(uint64_t v) const {
-    return config_.committee ? config_.committee->AtView(v).n() : config_.n;
-  }
-  uint32_t CommitteeFOf(uint64_t v) const {
-    return config_.committee ? config_.committee->AtView(v).f() : config_.f;
-  }
+  uint32_t QuorumOf(uint64_t v) const { return config_.reconfig.AtView(v).quorum(); }
+  uint32_t CommitteeNOf(uint64_t v) const { return config_.reconfig.AtView(v).n(); }
+  uint32_t CommitteeFOf(uint64_t v) const { return config_.reconfig.AtView(v).f(); }
   bool IsMember(uint64_t v, ReplicaId r) const {
-    return !config_.committee || config_.committee->AtView(v).Contains(r);
+    return config_.reconfig.AtView(v).Contains(r);
   }
   /// True when this replica holds protocol power (vote/propose/aggregate/
   /// wish) in view `v`.
@@ -205,6 +195,7 @@ class ReplicaBase {
   SimTime Now() const { return net_->simulator()->Now(); }
 
   ReplicaId id_;
+  /// Resolved (ResolveCommittee); the pacemaker holds a reference to it.
   ConsensusConfig config_;
   /// Stamped onto every outgoing message so WireSize charges the configured
   /// authenticator byte shapes (see the transport methods in replica.cc).

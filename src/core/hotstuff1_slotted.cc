@@ -280,10 +280,7 @@ void HotStuff1SlottedReplica::HandleNewSlotVote(const VoteMsg& msg) {
 void HotStuff1SlottedReplica::ProposeNextSlot(uint64_t v, const Certificate& formed) {
   if (crashed_ || view() != v) return;
   LeaderState& st = lstate_[v];
-  if (config_.max_slots_per_view > 0 &&
-      st.slots_proposed >= config_.max_slots_per_view) {
-    return;
-  }
+  if (config_.max_slots > 0 && st.slots_proposed >= config_.max_slots) return;
   const BlockPtr parent = store_.GetOrNull(formed.block_hash());
   if (!parent) return;
   SendProposal(v, formed.slot() + 1, formed, parent, nullptr);

@@ -12,14 +12,6 @@ void BlockStore::Put(BlockPtr block) {
   by_hash_.emplace(block->hash(), std::move(block));
 }
 
-Result<BlockPtr> BlockStore::Get(const Hash256& hash) const {
-  auto it = by_hash_.find(hash);
-  if (it == by_hash_.end()) {
-    return Status::NotFound("block " + hash.Short() + " not in store");
-  }
-  return it->second;
-}
-
 BlockPtr BlockStore::GetOrNull(const Hash256& hash) const {
   auto it = by_hash_.find(hash);
   return it == by_hash_.end() ? nullptr : it->second;

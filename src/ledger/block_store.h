@@ -7,7 +7,6 @@
 
 #include <unordered_map>
 
-#include "common/result.h"
 #include "ledger/block.h"
 
 namespace hotstuff1 {
@@ -21,10 +20,7 @@ class BlockStore {
 
   bool Contains(const Hash256& hash) const { return by_hash_.count(hash) > 0; }
 
-  /// Returns the block or NotFound.
-  Result<BlockPtr> Get(const Hash256& hash) const;
-
-  /// Returns nullptr when absent (hot-path form of Get).
+  /// Returns the block, or nullptr when absent.
   BlockPtr GetOrNull(const Hash256& hash) const;
 
   BlockPtr genesis() const { return genesis_; }

@@ -324,7 +324,7 @@ std::string CheckConfig(const ExperimentConfig& c) {
   if (c.num_faulty >= c.n) {
     return "--faulty=" + std::to_string(c.num_faulty) + " must be below --n=" + n;
   }
-  if (!c.reconfig.empty() && c.reconfig.MaxMember() >= c.n) {
+  if (c.reconfig.MaxMember() >= c.n) {
     return "--reconfig names replica " + std::to_string(c.reconfig.MaxMember()) +
            ", outside --n=" + n;
   }
@@ -372,7 +372,7 @@ bool ResolveSinglePoint(CommandLine* cl, std::string* error) {
     if (!given("timer_ms")) c.view_timer = Millis(1200);
     if (!given("delta_ms")) c.delta = Millis(160);
   }
-  if (!given("victims")) c.rollback_victims = (c.n - 1) / 3;
+  if (!given("victims")) c.rollback_victims = c.f();
   *error = CheckConfig(c);
   return error->empty();
 }

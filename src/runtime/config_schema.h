@@ -2,8 +2,9 @@
 // in config_schema.cc — flag name, strict range-checked parser, formatter,
 // help text, and the field it sets. Generic loops over the table parse the
 // command line, force scenario overrides (ExpandScenario), print --help and
-// write DescribeConfig's repro strings. A new knob is one ExperimentConfig field
-// plus one table row (docs/ARCHITECTURE.md, "Config knobs").
+// write DescribeConfig's repro strings. A new knob is one field, of
+// ConsensusConfig for a protocol parameter or of ExperimentConfig for the
+// world around it, plus one table row (docs/ARCHITECTURE.md, "Config knobs").
 
 #ifndef HOTSTUFF1_RUNTIME_CONFIG_SCHEMA_H_
 #define HOTSTUFF1_RUNTIME_CONFIG_SCHEMA_H_

@@ -129,7 +129,7 @@ void Experiment::Setup() {
   cp.num_clients = config_.num_clients > 0 ? config_.num_clients : default_clients;
   cp.groups = config_.client_groups;
   cp.arrival = config_.arrival;
-  const uint32_t f = (n - 1) / 3;
+  const uint32_t f = config_.f();
   cp.quorum_commit = f + 1;
   cp.quorum_speculative =
       (IsSpeculative(config_.protocol) && config_.speculation_enabled) ? n - f : 0;
@@ -152,32 +152,11 @@ void Experiment::Setup() {
   }
   sim_->SetParallelism(static_cast<int>(config_.sim_jobs), horizon);
 
-  ConsensusConfig cc = ConsensusConfig::ForN(n);
-  cc.batch_size = config_.batch_size;
-  cc.delta = config_.delta;
-  cc.view_timer = config_.view_timer;
-  cc.costs = config_.costs;
-  cc.cert_scheme = config_.cert_scheme;
-  cc.max_slots_per_view = config_.max_slots;
-  cc.speculation_enabled = config_.speculation_enabled;
-  cc.trusted_leader_enabled = config_.trusted_leader_enabled;
-  cc.test_break_safety = config_.test_break_safety;
-  cc.test_break_liveness = config_.test_break_liveness;
-  cc.test_break_reconfig = config_.test_break_reconfig;
-
-  // Committee reconfiguration: resolve the schedule's epoch geometry against
-  // the allocated pool (f+1 views per epoch, matching the pacemaker's
-  // Wish/TC boundaries) and check every member fits the allocation. The
-  // shared schedule threads into every replica's config and pacemaker.
-  if (!config_.reconfig.empty()) {
-    CommitteeSchedule sched = config_.reconfig;
-    if (sched.views_per_epoch == 0) sched.views_per_epoch = f + 1;
-    HS1_CHECK_EQ(sched.views_per_epoch, static_cast<uint64_t>(f) + 1)
-        << "reconfig epoch geometry must match the pacemaker's";
-    HS1_CHECK_LT(sched.MaxMember(), n) << "committee member outside allocation";
-    committee_ = std::make_shared<const CommitteeSchedule>(std::move(sched));
-    cc.committee = committee_;
-  }
+  // The replicas' parameters: config_'s consensus half with the committee
+  // resolved once (the static committee is the one-step schedule). config_
+  // itself keeps the schedule as typed, so repro strings carry it verbatim.
+  ConsensusConfig cc = config_;
+  cc.reconfig = ResolveCommittee(cc.reconfig, n);
 
   StrategySchedule schedule = config_.strategy;
   if (!schedule.empty() && schedule.epoch_length <= 0) {
@@ -193,7 +172,7 @@ void Experiment::Setup() {
     os.n = n;
     os.faulty_mask = plan_.faulty_mask;
     os.victims = plan_.victims;  // the very mask the attacking leaders use
-    os.committee = committee_;
+    os.committee = cc.reconfig;
     os.gst = gst;
     os.k = config_.liveness_k;
     os.grace = config_.liveness_grace;
@@ -344,18 +323,15 @@ ExperimentResult Experiment::Run() {
   res.messages_sent = net_->messages_sent();
   res.bytes_sent = net_->bytes_sent();
   const uint64_t final_view = replicas_[0]->view();
-  if (committee_) {
-    res.final_committee_n = committee_->AtView(final_view).n();
-    for (size_t i = 1; i < committee_->steps.size(); ++i) {
-      const uint64_t first_view = static_cast<uint64_t>(
-          committee_->steps[i].from_epoch) * committee_->views_per_epoch;
-      if (first_view <= final_view &&
-          committee_->steps[i].committee != committee_->steps[i - 1].committee) {
-        ++res.committee_changes;
-      }
+  const CommitteeSchedule& committee = replicas_[0]->config().reconfig;
+  res.final_committee_n = committee.AtView(final_view).n();
+  for (size_t i = 1; i < committee.steps.size(); ++i) {
+    const uint64_t first_view =
+        static_cast<uint64_t>(committee.steps[i].from_epoch) * committee.views_per_epoch;
+    if (first_view <= final_view &&
+        committee.steps[i].committee != committee.steps[i - 1].committee) {
+      ++res.committee_changes;
     }
-  } else {
-    res.final_committee_n = config_.n;
   }
   for (uint32_t id = 0; id < config_.n; ++id) {
     const auto& m = replicas_[id]->metrics();

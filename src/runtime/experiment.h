@@ -60,10 +60,11 @@ inline bool operator!=(const LookaheadSpec& a, const LookaheadSpec& b) {
 bool ParseLookahead(const std::string& s, LookaheadSpec* out);
 std::string FormatLookahead(const LookaheadSpec& spec);
 
-struct ExperimentConfig {
+/// One experiment point: the consensus parameters (ConsensusConfig, whose
+/// fields are knobs too) plus the world around the protocol — topology,
+/// workload, clients, adversary, oracle and executor.
+struct ExperimentConfig : ConsensusConfig {
   ProtocolKind protocol = ProtocolKind::kHotStuff1;
-  uint32_t n = 32;
-  uint32_t batch_size = 100;
   sim::Topology topology;     // defaults to Geo(n, regions) / LAN(n) when empty
   // Paper geo deployment over the first `regions` of its five regions
   // (--regions); 1 = LAN. Only read when `topology` is empty. A field, not
@@ -73,9 +74,6 @@ struct ExperimentConfig {
 
   SimTime duration = Seconds(3);
   SimTime warmup = Millis(500);
-  SimTime view_timer = Millis(10);
-  SimTime delta = Millis(2);
-  uint32_t max_slots = 0;
 
   WorkloadKind workload = WorkloadKind::kYcsb;
   YcsbConfig ycsb;
@@ -97,13 +95,6 @@ struct ExperimentConfig {
   uint32_t rollback_victims = 0;
   StrategySchedule strategy;
 
-  // Epoch-based committee reconfiguration (--reconfig; grammar in
-  // consensus/committee.h). All `n` nodes are allocated up front; the
-  // schedule switches each between member and standby at pacemaker epoch
-  // boundaries. views_per_epoch 0 is resolved to f+1 at setup; every member
-  // id must be < n. An empty schedule is the static full committee.
-  CommitteeSchedule reconfig;
-
   // Thresholds of the oracle's liveness family (runtime/oracle.h); 0 = auto.
   // Only read when oracle_enabled.
   uint64_t liveness_k = 0;
@@ -114,17 +105,10 @@ struct ExperimentConfig {
   SimTime inject_delay = 0;
   uint32_t num_impaired = 0;
 
-  // Ablation hooks.
-  bool speculation_enabled = true;
-  bool trusted_leader_enabled = true;
   // Test hook: record accepted (txn, block) pairs in the client pool.
   bool track_accepted = false;
 
-  CostModel costs;
-  // Authenticator wire encoding (--cert-scheme): what one signature share or
-  // certificate costs in bytes through the bandwidth model. Pure size axis —
-  // the consensus contract is identical under every scheme.
-  CertScheme cert_scheme = CertScheme::kMultisigVector;
+  // Per-node egress bandwidth, bytes per microsecond (--bandwidth_bytes_per_us).
   double bandwidth_bytes_per_us = 2000.0;
 
   // Intra-experiment parallelism: worker threads for the simulator's event
@@ -150,21 +134,6 @@ struct ExperimentConfig {
   // the paper's safety and liveness claims fail the run with a (config, seed,
   // event) diagnostic. Pure observer: enabling it never changes results.
   bool oracle_enabled = false;
-
-  // Test-only mutation hook (see docs/ARCHITECTURE.md, "Mutation self-test"):
-  // injects an equivocation-commit bug into the streamlined HotStuff-1 core
-  // so tests can prove the oracle actually fires. Never enable outside tests.
-  bool test_break_safety = false;
-  // Test-only mutation hook: stalls the pacemaker's epoch synchronization
-  // after epoch 0 (see ConsensusConfig::test_break_liveness) to prove the
-  // oracle's liveness progress monitor fires. Never enable outside tests.
-  bool test_break_liveness = false;
-  // Test-only mutation hook: a replica voted out at an epoch boundary forges
-  // a conflicting commit at its last height and halts (see
-  // ConsensusConfig::test_break_reconfig). End-of-run CheckSafety skips
-  // crashed replicas, so only the oracle's cross-epoch committed-block
-  // lattice can catch it. Never enable outside tests.
-  bool test_break_reconfig = false;
 };
 
 struct ExperimentResult {
@@ -249,7 +218,6 @@ class Experiment {
   std::unique_ptr<Workload> workload_;
   std::unique_ptr<ClientPool> clients_;
   std::unique_ptr<InvariantOracle> oracle_;
-  std::shared_ptr<const CommitteeSchedule> committee_;  // resolved; null = static
   AdversaryPlan plan_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
 };

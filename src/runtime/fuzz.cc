@@ -22,7 +22,7 @@ ExperimentConfig FuzzConfigFromSeed(uint64_t seed) {
   constexpr uint32_t kWide[] = {65, 96, 128};
   cfg.n = rng.NextBounded(6) == 0 ? kWide[rng.NextBounded(3)]
                                   : kSmall[rng.NextBounded(6)];
-  const uint32_t f = (cfg.n - 1) / 3;
+  const uint32_t f = cfg.f();
 
   constexpr uint32_t kBatches[] = {10, 25, 50, 100};
   cfg.batch_size = kBatches[rng.NextBounded(4)];
@@ -122,7 +122,7 @@ OverThresholdCase OverThresholdCaseFromSeed(uint64_t seed) {
   OverThresholdCase c;
   ExperimentConfig& cfg = c.config;
   cfg.n = 7;  // f = 2: coalition 3..4 exceeds the fault bound
-  const uint32_t f = (cfg.n - 1) / 3;
+  const uint32_t f = cfg.f();
   cfg.batch_size = 10;
   cfg.num_clients = 2 * cfg.batch_size;
   cfg.duration = Millis(150);

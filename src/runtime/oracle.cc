@@ -164,14 +164,14 @@ void InvariantOracle::OnBlockCommitted(ReplicaId replica, const BlockPtr& block)
           std::to_string(block->height()) + " but replica " +
           std::to_string(entry.first_committer) + " committed " +
           entry.committed_hash.Short() + " there";
-      if (setup_.committee) {
+      if (setup_.committee.steps.size() > 1) {
         // Reconfiguration context: which epoch's committee each side was in
         // when it last spoke, so a cross-membership fork names its boundary.
         const uint64_t e = EpochIndex(st.last_view);
         detail += " (committer in epoch " + std::to_string(e) +
                   ", committee n=" +
                   std::to_string(
-                      setup_.committee->AtEpoch(static_cast<uint32_t>(e)).n()) +
+                      setup_.committee.AtEpoch(static_cast<uint32_t>(e)).n()) +
                   "; first committer in epoch " +
                   std::to_string(
                       EpochIndex(replicas_[entry.first_committer].last_view)) +

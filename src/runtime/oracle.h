@@ -98,14 +98,15 @@ class InvariantOracle {
     /// the equivocating leaders split their proposals across, so the two
     /// sides cannot drift. Null when the schedule never equivocates.
     std::shared_ptr<const std::vector<bool>> victims;
-    /// Resolved committee schedule, when the run reconfigures (null =
-    /// static). The committed-block lattice is keyed by chain height and
-    /// deliberately NOT reset at membership changes: Theorem B.5 agreement
-    /// binds the whole chain, so a replica voted out in epoch e must still
-    /// agree with blocks committed by the epoch-e+1 committee at heights it
-    /// ever speaks for. End-of-run CheckSafety cannot see this (it skips
-    /// crashed/out replicas); only this cross-epoch lattice can.
-    std::shared_ptr<const CommitteeSchedule> committee;
+    /// The run's resolved committee schedule (ResolveCommittee); its
+    /// views_per_epoch is the pacemaker's epoch geometry. The committed-block
+    /// lattice is keyed by chain height and deliberately NOT reset at
+    /// membership changes: Theorem B.5 agreement binds the whole chain, so a
+    /// replica voted out in epoch e must still agree with blocks committed
+    /// by the epoch-e+1 committee at heights it ever speaks for. End-of-run
+    /// CheckSafety cannot see this (it skips crashed/out replicas); only
+    /// this cross-epoch lattice can.
+    CommitteeSchedule committee;
     /// Virtual time at which the network is promised to stabilize. 0 arms
     /// the liveness family from the start (a synchronous run, or a schedule
     /// with no interference such as "0-:slow"); StrategySchedule::kGstNever
@@ -174,14 +175,9 @@ class InvariantOracle {
   bool IsRollbackVictim(ReplicaId r) const {
     return setup_.victims && r < setup_.victims->size() && (*setup_.victims)[r];
   }
-  /// Pacemaker epoch of a view (f+1 consecutive views per epoch; the
-  /// committee schedule, when present, carries the same resolved geometry).
+  /// Pacemaker epoch of a view (f+1 consecutive views per epoch).
   uint64_t EpochIndex(uint64_t view) const {
-    if (setup_.committee && setup_.committee->views_per_epoch > 0) {
-      return view / setup_.committee->views_per_epoch;
-    }
-    const uint32_t f = setup_.n > 0 ? (setup_.n - 1) / 3 : 0;
-    return view / (f + 1);
+    return view / setup_.committee.views_per_epoch;
   }
   /// Formats, logs and stores one violation of `family` with the
   /// (config, seed, event#, t) diagnostic. Deterministic: every input

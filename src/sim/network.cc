@@ -115,7 +115,7 @@ void Network::Send(NodeId from, NodeId to, NetMessagePtr msg) {
   // self-traffic (a local scheduling artifact) perturb the fault pattern
   // observed by every later cross-node message from the same sender.
   SimTime extra = 0;
-  double jitter_frac = config_.jitter_frac;
+  double jitter_frac = 0;
   if (to != from) {
     extra = std::max(node_extra_delay_[from], node_extra_delay_[to]);
     for (const auto& [id, rule] : rules_) {

@@ -56,16 +56,14 @@ struct NetworkConfig {
   SimTime loopback_latency = 1;
   /// Default one-way latency between distinct nodes (overridden per-pair).
   SimTime default_latency = Millis(0.4);
-  /// Multiplicative jitter: actual = latency * (1 + U[0,jitter_frac)).
-  double jitter_frac = 0.0;
   uint64_t seed = 1;
 };
 
 /// A generic fault rule; applies to cross-node messages with
 /// from_match[from] and to_match[to] set (self-delivery is exempt, like
-/// jitter and egress serialization). `extra_delay` must be >= 0 and
-/// `extra_jitter_frac` multiplies the base latency by U[0, frac) on top of
-/// the config jitter — the lookahead horizon (MinDeliveryLatency) relies on
+/// egress serialization). `extra_delay` must be >= 0, and jitter adds
+/// latency * U[0, extra_jitter_frac) summed over the matching rules (WAN
+/// jitter, kActJitter) — the lookahead horizon (MinDeliveryLatency) relies on
 /// faults only ever *adding* delay.
 struct FaultRule {
   std::vector<bool> from_match;

@@ -124,8 +124,7 @@ TEST_F(AuthWiringTest, StampAuthSwitchesMessageBytesToTheStampedScheme) {
 
 TEST(AuthConfigTest, ConsensusConfigBindsSchemeAndCommitteeSize) {
   ConsensusConfig c;
-  c.n = 512;
-  c.f = 170;
+  c.n = 512;  // f = 170
   c.cert_scheme = CertScheme::kAggregate;
   const AuthSizeModel m = c.auth_model();
   EXPECT_EQ(m.scheme, CertScheme::kAggregate);

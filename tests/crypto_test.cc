@@ -250,33 +250,34 @@ TEST(SignerTest, QuorumVerification) {
   }
   EXPECT_TRUE(registry.VerifyQuorum(sigs, SignDomain::kProposeVote, digest, quorum).ok());
 
+  // Each failure is a non-OK status whose message names the cause.
+  const auto expect_rejected = [&](const std::vector<Signature>& shares,
+                                   const char* cause) {
+    const Status st = registry.VerifyQuorum(shares, SignDomain::kProposeVote, digest, quorum);
+    EXPECT_FALSE(st.ok()) << cause;
+    EXPECT_NE(st.message().find(cause), std::string::npos) << st;
+  };
+
   // Too few.
   std::vector<Signature> few(sigs.begin(), sigs.end() - 1);
-  EXPECT_TRUE(registry.VerifyQuorum(few, SignDomain::kProposeVote, digest, quorum)
-                  .IsUnauthenticated());
+  expect_rejected(few, "quorum too small");
 
   // Duplicate signer cannot substitute for a distinct one.
   std::vector<Signature> dup = few;
   dup.push_back(few[0]);
-  EXPECT_TRUE(registry.VerifyQuorum(dup, SignDomain::kProposeVote, digest, quorum)
-                  .IsUnauthenticated());
+  expect_rejected(dup, "duplicate signer");
 
   // One corrupted share poisons the quorum.
   std::vector<Signature> bad = sigs;
   bad[1].mac.bytes[0] ^= 0xff;
-  EXPECT_TRUE(registry.VerifyQuorum(bad, SignDomain::kProposeVote, digest, quorum)
-                  .IsUnauthenticated());
+  expect_rejected(bad, "invalid signature from replica");
 
   // A signer id with no key is an invalid signature, never a lookup: past n,
   // and past what a ReplicaSet holds.
   for (const ReplicaId stray_id : {n, ReplicaSet::kCapacity}) {
     std::vector<Signature> stray = sigs;
     stray[2].signer = stray_id;
-    const Status st =
-        registry.VerifyQuorum(stray, SignDomain::kProposeVote, digest, quorum);
-    EXPECT_TRUE(st.IsUnauthenticated()) << stray_id;
-    EXPECT_NE(st.message().find("invalid signature from replica"), std::string::npos)
-        << st;
+    expect_rejected(stray, "invalid signature from replica");
   }
 }
 

@@ -80,10 +80,10 @@ TEST(BlockStoreTest, GetAndContains) {
   EXPECT_TRUE(store.Contains(Block::Genesis()->hash()));
   const BlockPtr a = MakeBlock(1, store.genesis(), {});
   EXPECT_FALSE(store.Contains(a->hash()));
-  EXPECT_TRUE(store.Get(a->hash()).status().IsNotFound());
+  EXPECT_EQ(store.GetOrNull(a->hash()), nullptr);
   store.Put(a);
   EXPECT_TRUE(store.Contains(a->hash()));
-  EXPECT_EQ(store.Get(a->hash()).ValueOrDie()->hash(), a->hash());
+  EXPECT_EQ(store.GetOrNull(a->hash()), a);
 }
 
 TEST(BlockStoreTest, AncestryQueries) {

@@ -216,7 +216,8 @@ TEST(LivenessFamilyTest, DiagnosticsCarryConfigAndSeed) {
 
 InvariantOracle::Setup RollbackSetup() {
   InvariantOracle::Setup setup;
-  setup.n = 7;  // f = 2: epochs are 3 views wide
+  setup.n = 7;
+  setup.committee = ResolveCommittee({}, 7);  // f = 2: epochs are 3 views wide
   // The only victim is replica 0, the first correct id.
   setup.victims = std::make_shared<const std::vector<bool>>(
       std::vector<bool>{true, false, false, false, false, false, false});

@@ -98,6 +98,23 @@ TEST(CommitteeScheduleTest, MembershipArithmetic) {
   EXPECT_EQ(s.LeaderOfView(9), 1u);       // 9 % 4
 }
 
+TEST(CommitteeScheduleTest, ResolveTurnsEmptyIntoTheOneStepFullCommittee) {
+  // The static committee is the one-step schedule 0:0-(n-1); its leaders
+  // and quorum are the static arithmetic, view % n and n - f.
+  const CommitteeSchedule full = ResolveCommittee({}, 7);
+  EXPECT_EQ(FormatCommitteeSchedule(full), "0:0-6");
+  EXPECT_EQ(full.views_per_epoch, 3u);  // f = 2
+  for (uint64_t v = 0; v < 30; ++v) EXPECT_EQ(full.LeaderOfView(v), v % 7) << v;
+  EXPECT_EQ(full.AtView(29).quorum(), 5u);
+
+  // A given schedule keeps its steps and gets the geometry stamped.
+  CommitteeSchedule given;
+  ASSERT_TRUE(ParseCommitteeSchedule("0:0-15;4:0-11", &given));
+  const CommitteeSchedule resolved = ResolveCommittee(given, 16);
+  EXPECT_EQ(resolved.steps, given.steps);
+  EXPECT_EQ(resolved.views_per_epoch, 6u);  // f = 5
+}
+
 // --- end-to-end ---------------------------------------------------------------
 
 ExperimentConfig BaseConfig(ProtocolKind protocol, uint32_t n) {
@@ -114,9 +131,9 @@ ExperimentConfig BaseConfig(ProtocolKind protocol, uint32_t n) {
 }
 
 TEST(ReconfigExperimentTest, TrivialScheduleIsByteIdenticalToStatic) {
-  // A one-step schedule naming the full committee must reproduce the null-
-  // schedule run exactly: the committee-aware code paths collapse to the
-  // legacy arithmetic when every replica is a member.
+  // A one-step schedule naming the full committee must reproduce the run
+  // with no --reconfig exactly: that run resolves its empty schedule to the
+  // same one step.
   for (ProtocolKind protocol :
        {ProtocolKind::kHotStuff, ProtocolKind::kHotStuff2,
         ProtocolKind::kHotStuff1Basic, ProtocolKind::kHotStuff1,

@@ -1,7 +1,6 @@
 // ReplicaSet: multi-word bit ops, popcount/quorum thresholds at every word
-// boundary up to the kCapacity=512 default (the n=512 extension crosses
-// eight words), the hard out-of-range check, the BasicReplicaSet capacity
-// parameter, and the client-pool regression proving the old
+// boundary up to kCapacity = 512 (the n=512 extension crosses eight words),
+// the hard out-of-range check, and the client-pool regression proving the old
 // `1ULL << (from % 64)` aliasing bug (two replicas 64 apart sharing one vote
 // bit) is gone.
 
@@ -92,32 +91,14 @@ TEST(ReplicaSetTest, UnionIntersectionEquality) {
   EXPECT_EQ(a | b, b | a);
 }
 
-TEST(ReplicaSetTest, CapacityIsCompileTimeParameter) {
-  // The default alias must track HS1_REPLICA_SET_CAPACITY (512 unless the
-  // build overrides it), and other instantiations size independently.
-  static_assert(ReplicaSet::kCapacity == HS1_REPLICA_SET_CAPACITY);
-  static_assert(BasicReplicaSet<64>::kCapacity == 64);
-  static_assert(BasicReplicaSet<1024>::kCapacity == 1024);
-  BasicReplicaSet<64> narrow;
-  narrow.Set(63);
-  EXPECT_TRUE(narrow.Test(63));
-  EXPECT_EQ(narrow.Count(), 1u);
-  BasicReplicaSet<1024> wide;
-  wide.Set(1023);
-  EXPECT_TRUE(wide.Test(1023));
-  EXPECT_EQ(wide.Count(), 1u);
-}
-
 TEST(ReplicaSetDeathTest, OutOfRangeIdIsFatal) {
-  // An id beyond the capacity is a protocol bug, not a modular wrap. With the
-  // 512 default this covers the old hard-fail point (id 256) as a plain
-  // in-range Set and fails only at the new boundary.
+  // An id beyond the capacity is a protocol bug, not a modular wrap. At 512
+  // this covers the old hard-fail point (id 256) as a plain in-range Set
+  // and fails only at the new boundary.
   ReplicaSet s;
   s.Set(256);  // legal now; used to be the capacity wall
   EXPECT_DEATH(s.Set(ReplicaSet::kCapacity), "ReplicaSet capacity");
   EXPECT_DEATH((void)s.Test(ReplicaSet::kCapacity), "ReplicaSet capacity");
-  BasicReplicaSet<64> narrow;
-  EXPECT_DEATH(narrow.Set(64), "ReplicaSet capacity");
 }
 
 // --- client-pool regression ---------------------------------------------------

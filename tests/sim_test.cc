@@ -253,7 +253,6 @@ TEST(NetworkTest, SelfTrafficDoesNotPerturbFaultRngStreams) {
     NetworkConfig cfg;
     cfg.default_latency = 100;
     cfg.bandwidth_bytes_per_us = 1000;
-    cfg.jitter_frac = 0.3;
     Network net(&sim, 2, cfg);
     std::vector<SimTime> arrivals;
     net.SetHandler(0, [](NodeId, const NetMessagePtr&) {});
@@ -264,6 +263,7 @@ TEST(NetworkTest, SelfTrafficDoesNotPerturbFaultRngStreams) {
     rule.from_match.assign(2, true);
     rule.to_match.assign(2, true);
     rule.drop_prob = 0.5;
+    rule.extra_jitter_frac = 0.3;
     net.AddRule(rule);
     // Sends fire at fixed absolute times so the two runs' send schedules are
     // identical by construction; only RNG consumption could differ.

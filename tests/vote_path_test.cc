@@ -19,13 +19,22 @@ namespace {
 
 constexpr uint32_t kN = 4;  // f = 1, quorum 3
 
+// n = kN with its committee resolved, as Experiment::Setup hands replicas
+// their parameters.
+ConsensusConfig VoteConfig() {
+  ConsensusConfig config;
+  config.n = kN;
+  config.reconfig = ResolveCommittee({}, kN);
+  return config;
+}
+
 // A replica with no protocol rules of its own: it exposes the vote path and
 // records the shares that reach it. It never proposes or answers clients,
 // so it needs no transaction source or response sink.
 class VoteReplica : public ReplicaBase {
  public:
   VoteReplica(ReplicaId id, sim::Network* net, const KeyRegistry* registry)
-      : ReplicaBase(id, ConsensusConfig::ForN(kN), net, registry,
+      : ReplicaBase(id, VoteConfig(), net, registry,
                     /*source=*/nullptr, /*sink=*/nullptr, KvState()) {}
 
   const char* Name() const override { return "vote path"; }
@@ -158,6 +167,7 @@ TEST_F(VotePathTest, ExactlyOneCertificateOnTheCompletingShare) {
 TEST_F(VotePathTest, OracleSeesEachFormedCertificateOnce) {
   InvariantOracle::Setup setup;
   setup.n = kN;
+  setup.committee = VoteConfig().reconfig;
   InvariantOracle oracle(&sim_, setup);
   replica(0).SetOracle(&oracle);
 

@@ -52,7 +52,7 @@ int RunPoint(const CommandLine& cl) {
       static_cast<unsigned long long>(res.oracle_violations));
 
   std::printf("\n%s, n=%u (f=%u), batch=%u, %s%s\n", res.protocol.c_str(), cfg.n,
-              (cfg.n - 1) / 3, cfg.batch_size, FindKnob("workload")->get(cfg).c_str(),
+              cfg.f(), cfg.batch_size, FindKnob("workload")->get(cfg).c_str(),
               cfg.regions > 1
                   ? (", " + std::to_string(cfg.regions) + " regions").c_str()
                   : "");

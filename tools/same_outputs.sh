@@ -10,11 +10,17 @@
 #   - `hs1bench --list`;
 #   - every scenario that --list names, at --smoke --format=csv;
 #   - each SCENARIO given on the command line at full size, --format=csv;
-#   - the `hs1sim --oracle` RESULT line of all five protocol cores, each
-#     without an adversary, under 0-:slow, 0-:tailfork, 0-:equivocate,
-#     0-:crash and 0-2:withhold, and with a shrinking --reconfig; at n=16
-#     (--faulty=5) and at n=64 (--faulty=21). That is 70 lines.
-# Stderr is not compared. The script stops at the first difference, prints
+#   - `hs1sim --help`, and `hs1sim --oracle` with no other flag (the
+#     defaults);
+#   - `hs1sim --oracle` for all five protocol cores, each without an
+#     adversary, under 0-:slow, 0-:tailfork, 0-:equivocate, 0-:crash and
+#     0-2:withhold, and with a shrinking --reconfig; at n=16 (--faulty=5)
+#     and at n=64 (--faulty=21). That is 70 runs;
+#   - runs whose oracles fire, so their diagnostics and the DescribeConfig
+#     repro each one embeds are compared: every core at --n=7 --faulty=3
+#     --strategy=0-:crash (liveness-silence), and one withholding coalition
+#     past the fault bound of a shrinking committee.
+# Every hs1sim case compares its whole stdout. Stderr is not compared. The script stops at the first difference, prints
 # it, and exits 1; it exits 0 when everything matches and 2 on bad usage.
 # Outputs stay in $OUT (default: a fresh temporary directory) for
 # inspection. The two builds run side by side, each hs1bench with --jobs=2.
@@ -34,25 +40,21 @@ OUT=${OUT:-$(mktemp -d)}
 mkdir -p "$OUT/base" "$OUT/new"
 cases=0
 
-# run_case NAME FILTER BINARY ARGS...: runs BINARY from both builds with
-# ARGS, keeps stdout lines matching the grep pattern FILTER, and compares
-# the kept bytes and the exit codes.
+# run_case NAME BINARY ARGS...: runs BINARY from both builds with ARGS and
+# compares the stdout bytes and the exit codes.
 run_case() {
-  local name=$1 filter=$2 bin=$3
-  shift 3
+  local name=$1 bin=$2
+  shift 2
   local side
   for side in base new; do
     local dir=$BASE
     [ "$side" = new ] && dir=$NEW
     (
-      "$dir/$bin" "$@" > "$OUT/$side/$name.raw" 2> "$OUT/$side/$name.err"
+      "$dir/$bin" "$@" > "$OUT/$side/$name.out" 2> "$OUT/$side/$name.err"
       echo $? > "$OUT/$side/$name.exit"
     ) &
   done
   wait
-  for side in base new; do
-    grep -a -- "$filter" "$OUT/$side/$name.raw" > "$OUT/$side/$name.out"
-  done
   cases=$((cases + 1))
   local base_exit new_exit
   base_exit=$(cat "$OUT/base/$name.exit")
@@ -69,14 +71,16 @@ run_case() {
   fi
 }
 
-run_case list '' hs1bench --list
+run_case list hs1bench --list
 for s in $(awk '/^[a-z]/ { print $1 }' "$OUT/base/list.out"); do
-  run_case "smoke-$s" '' hs1bench --scenario="$s" --smoke --jobs=2 \
-    --format=csv
+  run_case "smoke-$s" hs1bench --scenario="$s" --smoke --jobs=2 --format=csv
 done
 for s in "$@"; do
-  run_case "full-$s" '' hs1bench --scenario="$s" --jobs=2 --format=csv
+  run_case "full-$s" hs1bench --scenario="$s" --jobs=2 --format=csv
 done
+
+run_case sim-help hs1sim --help
+run_case sim-defaults hs1sim --oracle
 
 for point in "16 5 0:0-15;4:0-11" "64 21 0:0-63;4:0-47"; do
   read -r n faulty shrink <<< "$point"
@@ -88,10 +92,20 @@ for point in "16 5 0:0-15;4:0-11" "64 21 0:0-63;4:0-47"; do
       [ "$adversary" != none ] && extra=("$adversary")
       tag=${adversary#--}
       tag=${tag//[^A-Za-z0-9-]/_}
-      run_case "sim-$protocol-n$n-$tag" '^RESULT ' hs1sim --oracle \
+      run_case "sim-$protocol-n$n-$tag" hs1sim --oracle \
         --protocol="$protocol" --n="$n" --faulty="$faulty" "${extra[@]}"
     done
   done
 done
+
+# Oracles that fire: f+1 crashed replicas starve the n-f Wish quorum
+# (liveness-silence), and 6 withholding replicas exceed the fault bound of
+# the 12-member committee from epoch 4.
+for protocol in hotstuff hotstuff2 basic hotstuff1 slotted; do
+  run_case "fires-$protocol-crash" hs1sim --oracle --protocol="$protocol" \
+    --n=7 --faulty=3 --strategy=0-:crash
+done
+run_case fires-withhold-reconfig hs1sim --oracle --n=16 --faulty=6 \
+  --strategy=0-2:withhold --reconfig='0:0-15;4:0-11'
 
 echo "SAME: $cases cases, stdout bytes and exit codes identical (outputs in $OUT)"
