@@ -4,17 +4,6 @@
 
 namespace hotstuff1 {
 
-ChainedReplica::ChainedReplica(ReplicaId id, const ConsensusConfig& config,
-                               sim::Network* net, const KeyRegistry* registry,
-                               TransactionSource* source, ResponseSink* sink,
-                               KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
-      high_cert_(Certificate::Genesis()) {}
-
-void ChainedReplica::UpdateHighCert(const Certificate& cert) {
-  if (high_cert_.block_id() < cert.block_id()) high_cert_ = cert;
-}
-
 void ChainedReplica::OnEnterView(uint64_t v) {
   // Drop leader state and buffered proposals for views we have left behind.
   while (!nv_state_.empty() && nv_state_.begin()->first < v) {
@@ -22,12 +11,6 @@ void ChainedReplica::OnEnterView(uint64_t v) {
   }
   while (!pending_votes_.empty() && pending_votes_.begin()->first < v) {
     pending_votes_.erase(pending_votes_.begin());
-  }
-
-  if (v == 1 && ActiveInView(1)) {
-    // Bootstrap: there is no view 0 to exit, so every committee member hands
-    // L_1 a NewView over the hard-coded genesis certificate (§4.1 note).
-    SendNewView(1, high_cert_);
   }
 
   // A proposal for this view may have arrived while we were in the previous
@@ -50,12 +33,6 @@ void ChainedReplica::OnEnterView(uint64_t v) {
     });
     MaybePropose(v);  // quorum may already be waiting
   }
-}
-
-void ChainedReplica::OnViewTimeout(uint64_t v) {
-  // Standby replicas advance their view clock but hold no NewView power.
-  if (ActiveInView(v + 1)) SendNewView(v + 1, high_cert_);
-  pacemaker_.CompletedView(v + 1);
 }
 
 void ChainedReplica::OnProtocolMessage(const ConsensusMessage& msg) {
@@ -93,7 +70,7 @@ void ChainedReplica::HandlePropose(const ProposeMsg& msg) {
   store_.Put(msg.block);
   RecordJustify(msg.block->hash(), msg.justify);
   UpdateHighCert(msg.justify);
-  ProcessCertificate(msg.justify, certified, v);
+  ProcessCertificate(msg.justify, certified, msg.block->id());
 
   if (v == view()) {
     VoteOn(msg);
@@ -176,37 +153,20 @@ void ChainedReplica::Propose(uint64_t v) {
   if (adversary_.Equivocates(Now()) && high_cert_.block_id().view + 1 == v) {
     // §7.3 Rollback: equivocate across P(v-1) and P(v-2) so that a subset of
     // correct replicas speculates a block the winning branch abandons.
-    const Certificate honest = high_cert_;
-    const Certificate* prev = JustifyOf(honest.block_hash());
-    const BlockPtr parent_a = store_.GetOrNull(honest.block_hash());
+    const Certificate* prev = JustifyOf(high_cert_.block_hash());
+    const BlockPtr parent_a = store_.GetOrNull(high_cert_.block_hash());
     const BlockPtr parent_b = prev ? store_.GetOrNull(prev->block_hash()) : nullptr;
-    if (prev != nullptr && parent_a != nullptr && parent_b != nullptr) {
-      ChargeCpu(config_.costs.propose_base_us);
-      std::vector<Transaction> txns = DrawBatch();
-      auto block_a = std::make_shared<Block>(BlockId{v, 1}, parent_a->hash(),
-                                             parent_a->height() + 1, id_, txns);
-      auto block_b = std::make_shared<Block>(BlockId{v, 1}, parent_b->hash(),
-                                             parent_b->height() + 1, id_,
-                                             std::move(txns));
-      store_.Put(block_a);
-      store_.Put(block_b);
-      RecordJustify(block_a->hash(), honest);
-      RecordJustify(block_b->hash(), *prev);
+    if (parent_a != nullptr && parent_b != nullptr) {
+      // One proposal step, two blocks from the same batch: the honest one
+      // extends P(v-1), the conflicting one P(v-2).
+      auto msg_a = ProposeBlock({v, 1}, parent_a, high_cert_);
+      auto msg_b = BuildProposal({v, 1}, parent_b, *prev, msg_a->block->txns());
 
       // The victims get the honest branch, everyone else the conflicting
       // one. The mask is the invariant oracle's exemption list too.
       const std::vector<bool>& mask_a = *adversary_.victims;
       std::vector<bool> mask_b(config_.n);
       for (ReplicaId r = 0; r < config_.n; ++r) mask_b[r] = !mask_a[r];
-
-      auto msg_a = std::make_shared<ProposeMsg>(id_);
-      msg_a->block = block_a;
-      msg_a->justify = honest;
-      auto msg_b = std::make_shared<ProposeMsg>(id_);
-      msg_b->block = block_b;
-      msg_b->justify = *prev;
-      ++metrics_.blocks_proposed;
-      ++metrics_.slots_proposed;
       // Record the campaign before the sends so that even a same-tick victim
       // rollback finds its justification outstanding.
       if (oracle_) oracle_->OnEquivocationSent(id_, v);
@@ -258,34 +218,11 @@ void ChainedReplica::OnBlockFetched(const BlockPtr& block) {
   }
 }
 
-void ChainedReplica::CommitTwoChain(const BlockPtr& certified) {
-  // Prefix commit rule (Def. 4.6): P(w) extends P(w-1), i.e. the certified
-  // block's own justify certifies a block of the immediately preceding view.
-  const Certificate* justify = JustifyOf(certified->hash());
-  if (justify == nullptr) return;
-  if (justify->block_id().view + 1 != certified->view()) return;
-  const BlockPtr target = store_.GetOrNull(justify->block_hash());
-  if (!target) return;
-  TryCommit(target);
-}
-
-void ChainedReplica::CommitThreeChain(const BlockPtr& certified) {
-  // Chained HotStuff: commit the tail of a 3-chain with consecutive views.
-  const Certificate* j2 = JustifyOf(certified->hash());
-  if (j2 == nullptr || j2->block_id().view + 1 != certified->view()) return;
-  const BlockPtr b2 = store_.GetOrNull(j2->block_hash());
-  if (!b2) return;
-  const Certificate* j3 = JustifyOf(b2->hash());
-  if (j3 == nullptr || j3->block_id().view + 1 != b2->view()) return;
-  const BlockPtr b3 = store_.GetOrNull(j3->block_hash());
-  if (!b3) return;
-  TryCommit(b3);
-}
-
 void HotStuffReplica::ProcessCertificate(const Certificate& /*justify*/,
                                          const BlockPtr& certified,
-                                         uint64_t /*proposal_view*/) {
-  CommitThreeChain(certified);
+                                         const BlockId& /*proposal*/) {
+  // Chained HotStuff: commit the tail of a 3-chain with consecutive views.
+  CommitPrefix(certified, 2);
 }
 
 }  // namespace hotstuff1

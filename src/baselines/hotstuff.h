@@ -6,12 +6,14 @@
 // when possible, proposes a block extending its highest certificate, and
 // broadcasts it. Replicas validate, apply the protocol-specific commit rule
 // (the `ProcessCertificate` hook), vote by sending a NewView message with a
-// prepare share to the next leader, and exit the view.
+// prepare share to the next leader, and exit the view. The view change, the
+// highest certificate and the prefix commit rule live in ReplicaBase.
 //
 // The protocols differ only in the hook:
-//   HotStuff     - 3-chain commit (consecutive views), f+1 client quorum
-//   HotStuff-2   - 2-chain / prefix commit (Def. 4.6), f+1 client quorum
-//   HotStuff-1   - 2-chain commit + speculation at 1-chain (§5), n-f quorum
+//   HotStuff     - CommitPrefix over 2 links (3-chain), f+1 client quorum
+//   HotStuff-2   - CommitPrefix over 1 link (Def. 4.6), f+1 client quorum
+//   HotStuff-1   - CommitPrefix over 1 link + speculation at 1-chain (§5),
+//                  n-f client quorum
 
 #ifndef HOTSTUFF1_BASELINES_HOTSTUFF_H_
 #define HOTSTUFF1_BASELINES_HOTSTUFF_H_
@@ -26,33 +28,21 @@ namespace hotstuff1 {
 
 class ChainedReplica : public ReplicaBase {
  public:
-  ChainedReplica(ReplicaId id, const ConsensusConfig& config, sim::Network* net,
-                 const KeyRegistry* registry, TransactionSource* source,
-                 ResponseSink* sink, KvState initial_state);
+  using ReplicaBase::ReplicaBase;
 
  protected:
   // --- protocol-specific hook -------------------------------------------------
   /// Called once per newly learned certificate `justify` (whose block is in
-  /// the store), in the context of a proposal for view `proposal_view`.
+  /// the store), in the context of the proposal `proposal` it justifies.
   /// Applies the protocol's commit rule and (for HotStuff-1) speculation.
   virtual void ProcessCertificate(const Certificate& justify,
                                   const BlockPtr& certified,
-                                  uint64_t proposal_view) = 0;
+                                  const BlockId& proposal) = 0;
 
   // --- ReplicaBase ------------------------------------------------------------
   void OnEnterView(uint64_t view) override;
-  void OnViewTimeout(uint64_t view) override;
   void OnProtocolMessage(const ConsensusMessage& msg) override;
   void OnBlockFetched(const BlockPtr& block) override;
-
-  /// Commits the ancestor certified by `target`'s justify when views are
-  /// adjacent; shared by the 2-chain protocols. Returns the newly committed
-  /// execution results.
-  void CommitTwoChain(const BlockPtr& certified);
-  /// 3-chain commit rule of HotStuff.
-  void CommitThreeChain(const BlockPtr& certified);
-
-  void UpdateHighCert(const Certificate& cert);
 
  private:
   struct LeaderViewState {
@@ -72,7 +62,6 @@ class ChainedReplica : public ReplicaBase {
   void VoteOn(const ProposeMsg& msg);
   void ExitView(uint64_t view);
 
-  Certificate high_cert_;
   uint64_t voted_view_ = 0;
   std::map<uint64_t, LeaderViewState> nv_state_;
   // Proposal awaiting view entry (arrived early) keyed by its view.
@@ -88,7 +77,7 @@ class HotStuffReplica : public ChainedReplica {
 
  protected:
   void ProcessCertificate(const Certificate& justify, const BlockPtr& certified,
-                          uint64_t proposal_view) override;
+                          const BlockId& proposal) override;
 };
 
 }  // namespace hotstuff1

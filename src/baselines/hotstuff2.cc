@@ -4,8 +4,8 @@ namespace hotstuff1 {
 
 void HotStuff2Replica::ProcessCertificate(const Certificate& /*justify*/,
                                           const BlockPtr& certified,
-                                          uint64_t /*proposal_view*/) {
-  CommitTwoChain(certified);
+                                          const BlockId& /*proposal*/) {
+  CommitPrefix(certified, 1);
 }
 
 }  // namespace hotstuff1

@@ -16,7 +16,7 @@ class HotStuff2Replica : public ChainedReplica {
 
  protected:
   void ProcessCertificate(const Certificate& justify, const BlockPtr& certified,
-                          uint64_t proposal_view) override;
+                          const BlockId& proposal) override;
 };
 
 }  // namespace hotstuff1

@@ -34,9 +34,9 @@
 // slot storage, tallies, and statistics, so response processing for distinct
 // groups runs concurrently under a parallel executor. Only the *submission
 // queue* (plus the per-group drawn-id logs feeding the sweepers) remains a
-// shared serial domain: DrawBatch/PendingCount (called synchronously from
-// replica events) and every enqueue path gate on Simulator::SyncShared, while
-// the tally/accept hot path never does. Results stay byte-identical at any
+// shared serial domain: DrawBatch (called synchronously from replica
+// events) and every enqueue path gate on Simulator::SyncShared, while the
+// tally/accept hot path never does. Results stay byte-identical at any
 // --jobs x --sim-jobs x --lookahead because every shared-domain access is
 // gated and every group-local access is ordered by its shard's event chain.
 
@@ -114,10 +114,10 @@ struct ClientPoolConfig {
 };
 
 /// Threading: the submission queue (and the drawn-id logs) form the single
-/// shared domain — every path that touches them (DrawBatch, PendingCount,
-/// all enqueues, the sweepers) gates on Simulator::SyncShared. Everything
-/// else (slots, tallies, latency samples, counters) is group-local and runs
-/// on the group's own shard without gating.
+/// shared domain — every path that touches them (DrawBatch, all enqueues,
+/// the sweepers) gates on Simulator::SyncShared. Everything else (slots,
+/// tallies, latency samples, counters) is group-local and runs on the
+/// group's own shard without gating.
 class ClientPool : public TransactionSource, public ResponseSink {
  public:
   /// `latency_to_replica[r]` is the one-way client<->replica delay (clients
@@ -142,10 +142,6 @@ class ClientPool : public TransactionSource, public ResponseSink {
   // --- TransactionSource ------------------------------------------------------
   std::vector<Transaction> DrawBatch(ReplicaId leader, size_t max,
                                      SimTime now) override;
-  size_t PendingCount() const override {
-    sim_->SyncShared();  // called from replica events; order the read
-    return queue_.size();
-  }
 
   // --- ResponseSink ------------------------------------------------------------
   void OnBlockResponse(ReplicaId from, const BlockPtr& block,

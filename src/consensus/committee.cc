@@ -29,18 +29,6 @@ ReplicaId CommitteeSchedule::MaxMember() const {
   return max;
 }
 
-uint32_t CommitteeSchedule::MinN() const {
-  uint32_t min = UINT32_MAX;
-  for (const CommitteeStep& s : steps) min = std::min(min, s.committee.n());
-  return min;
-}
-
-uint32_t CommitteeSchedule::MinF() const {
-  uint32_t min = UINT32_MAX;
-  for (const CommitteeStep& s : steps) min = std::min(min, s.committee.f());
-  return min;
-}
-
 namespace {
 
 bool Fail(std::string* error, const std::string& msg) {

@@ -75,10 +75,6 @@ struct CommitteeSchedule {
 
   /// Largest member id across all steps (the schedule's allocation floor).
   ReplicaId MaxMember() const;
-  /// Smallest committee size across all steps.
-  uint32_t MinN() const;
-  /// Smallest per-epoch fault bound across all steps.
-  uint32_t MinF() const;
 
   bool operator==(const CommitteeSchedule& o) const {
     return views_per_epoch == o.views_per_epoch && steps == o.steps;

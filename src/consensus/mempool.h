@@ -27,9 +27,6 @@ class TransactionSource {
   /// Up to `max` transactions visible to `leader` at `now`, in FIFO order.
   virtual std::vector<Transaction> DrawBatch(ReplicaId leader, size_t max,
                                              SimTime now) = 0;
-
-  /// Number of transactions currently waiting (for diagnostics).
-  virtual size_t PendingCount() const = 0;
 };
 
 /// \brief Where replicas deliver client responses. One call covers a whole

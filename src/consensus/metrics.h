@@ -19,10 +19,8 @@ struct ReplicaMetrics {
   uint64_t blocks_committed = 0;
   uint64_t txns_committed = 0;
   uint64_t blocks_speculated = 0;
-  // Speculation-time rollbacks (ReplicaBase::SpeculateAndRespond) and the
-  // blocks they undid; commit-time ones (TryCommit) are not counted.
-  uint64_t rollback_events = 0;
-  uint64_t blocks_rolled_back = 0;
+  // Rollbacks are counted by the replica's Ledger, at speculation and at
+  // commit time alike (Ledger::rollback_events, blocks_rolled_back).
   uint64_t rejects_sent = 0;
   uint64_t votes_sent = 0;
   uint64_t proposals_received = 0;

@@ -23,19 +23,22 @@ ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
           net->simulator(), registry, Signer(registry, id), config_,
           Pacemaker::Callbacks{
               [this](uint64_t v) {
-                if (!crashed_) {
-                  ++metrics_.views_entered;
-                  if (oracle_) oracle_->OnViewEntered(id_, v);
-                  MaybeBreakReconfig(v);
-                  if (!crashed_) OnEnterView(v);
-                }
+                if (crashed_) return;
+                ++metrics_.views_entered;
+                if (oracle_) oracle_->OnViewEntered(id_, v);
+                MaybeBreakReconfig(v);
+                if (crashed_) return;
+                if (v == 1 && ActiveInView(1)) SendViewChange(1);  // bootstrap
+                OnEnterView(v);
               },
               [this](uint64_t v) {
-                if (!crashed_) {
-                  ++metrics_.timeouts;
-                  exited_view_ = std::max(exited_view_, v);
-                  OnViewTimeout(v);
-                }
+                if (crashed_) return;
+                ++metrics_.timeouts;
+                exited_view_ = std::max(exited_view_, v);
+                // Standby replicas advance their view clock but hold no
+                // NewView power.
+                if (ActiveInView(v + 1)) SendViewChange(v + 1);
+                pacemaker_.CompletedView(v + 1);
               },
               [this](ReplicaId to, std::shared_ptr<WishMsg> m) {
                 SendTo(to, std::move(m));
@@ -234,13 +237,21 @@ std::shared_ptr<ProposeMsg> ReplicaBase::ProposeBlock(const BlockId& id,
                                                       const Certificate& justify,
                                                       BlockPtr carry) {
   ChargeCpu(config_.costs.propose_base_us);
+  ++metrics_.slots_proposed;
+  if (id.slot == 1) ++metrics_.blocks_proposed;
+  return BuildProposal(id, parent, justify, DrawBatch(), std::move(carry));
+}
+
+std::shared_ptr<ProposeMsg> ReplicaBase::BuildProposal(const BlockId& id,
+                                                       const BlockPtr& parent,
+                                                       const Certificate& justify,
+                                                       std::vector<Transaction> txns,
+                                                       BlockPtr carry) {
   auto block = std::make_shared<Block>(id, parent->hash(), parent->height() + 1,
-                                       id_, DrawBatch(),
+                                       id_, std::move(txns),
                                        carry ? carry->hash() : Hash256{});
   store_.Put(block);
   RecordJustify(block->hash(), justify);
-  ++metrics_.slots_proposed;
-  if (id.slot == 1) ++metrics_.blocks_proposed;
   auto msg = std::make_shared<ProposeMsg>(id_);
   msg->block = std::move(block);
   msg->justify = justify;
@@ -289,23 +300,37 @@ void ReplicaBase::DeliverCommits(const std::vector<ExecResult>& committed) {
   }
 }
 
+template <typename Step>
+void ReplicaBase::ReportingRollback(uint64_t chain_view, Step step) {
+  const uint64_t events = ledger_.rollback_events();
+  const uint64_t blocks = ledger_.blocks_rolled_back();
+  step();
+  if (oracle_ && ledger_.rollback_events() != events) {
+    oracle_->OnRollback(id_, ledger_.blocks_rolled_back() - blocks, chain_view);
+  }
+}
+
 void ReplicaBase::SpeculateAndRespond(const BlockPtr& certified, bool no_gap) {
   const SpeculationPolicy policy{.enabled = config_.speculation_enabled};
-  const uint64_t rollbacks_before = ledger_.rollback_events();
-  const SpeculationOutcome out =
-      TrySpeculate(&ledger_, store_, certified, no_gap, policy);
-  if (ledger_.rollback_events() != rollbacks_before) {
-    ++metrics_.rollback_events;
-    metrics_.blocks_rolled_back += out.blocks_rolled_back;
-    if (oracle_) {
-      oracle_->OnRollback(id_, out.blocks_rolled_back, certified->id().view);
-    }
-  }
+  SpeculationOutcome out;
+  ReportingRollback(certified->id().view, [&] {
+    out = TrySpeculate(&ledger_, store_, certified, no_gap, policy);
+  });
   for (const SpeculatedBlock& sb : out.executed) {
     ++metrics_.blocks_speculated;
     ChargeCpu(config_.costs.ExecCost(sb.block->txns().size()));
     RespondToClients(sb.block, sb.results, /*speculative=*/true);
   }
+}
+
+void ReplicaBase::CommitPrefix(BlockPtr certified, int links) {
+  for (; links > 0; --links) {
+    const Certificate* justify = JustifyOf(certified->hash());
+    if (justify == nullptr || !justify->block_id().Precedes(certified->id())) return;
+    certified = store_.GetOrNull(justify->block_hash());
+    if (!certified) return;
+  }
+  TryCommit(certified);
 }
 
 void ReplicaBase::TryCommit(const BlockPtr& target) {
@@ -322,19 +347,12 @@ void ReplicaBase::TryCommit(const BlockPtr& target) {
     cur = parent;
   }
   // CommitChain may first roll back speculation that diverges from the
-  // commit path (Def. 4.7); the oracle distinguishes expected victim
-  // rollbacks from protocol bugs.
-  const uint64_t rollbacks_before = ledger_.rollback_events();
-  const uint64_t rolled_before = ledger_.blocks_rolled_back();
-  DeliverCommits(ledger_.CommitChain(target));
-  if (oracle_ && ledger_.rollback_events() != rollbacks_before) {
-    // The conflicting view is the committed block's chain view, not this
-    // replica's current view: a CPU-backlogged victim may process an old
-    // conflicting commit arbitrarily late, and rollback legality (Def. 4.7)
-    // is a property of the chain position, not of the wall clock.
-    oracle_->OnRollback(id_, ledger_.blocks_rolled_back() - rolled_before,
-                        target->id().view);
-  }
+  // commit path (Def. 4.7). The conflicting view is the committed block's
+  // chain view, not this replica's current view: a CPU-backlogged victim
+  // may process an old conflicting commit arbitrarily late, and rollback
+  // legality is a property of the chain position, not of the wall clock.
+  ReportingRollback(target->id().view,
+                    [&] { DeliverCommits(ledger_.CommitChain(target)); });
 }
 
 bool ReplicaBase::EnsureBlock(const Hash256& hash, ReplicaId hint) {

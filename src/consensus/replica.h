@@ -1,6 +1,8 @@
 // Base class shared by every protocol replica: network wiring, pacemaker,
 // block store + ledger, signing/verification with CPU accounting, client
-// batching and responses, and block-fetch recovery.
+// batching and responses, and block-fetch recovery; and the protocol steps
+// every core shares: the view change, the highest certificate and the
+// prefix commit rule.
 
 #ifndef HOTSTUFF1_CONSENSUS_REPLICA_H_
 #define HOTSTUFF1_CONSENSUS_REPLICA_H_
@@ -44,7 +46,8 @@ class ReplicaBase {
   const ReplicaMetrics& metrics() const { return metrics_; }
   const Ledger& ledger() const { return ledger_; }
   const BlockStore& store() const { return store_; }
-  const Pacemaker& pacemaker() const { return pacemaker_; }
+  /// The highest certificate this replica knows, by certified position.
+  const Certificate& high_cert() const { return high_cert_; }
 
   void SetAdversary(const AdversarySpec& spec) { adversary_ = spec; }
   const AdversarySpec& adversary() const { return adversary_; }
@@ -64,8 +67,8 @@ class ReplicaBase {
 
  protected:
   // --- subclass interface ----------------------------------------------------
+  /// Runs after the base's part of view entry (see SendViewChange).
   virtual void OnEnterView(uint64_t view) = 0;
-  virtual void OnViewTimeout(uint64_t view) = 0;
   virtual void OnProtocolMessage(const ConsensusMessage& msg) = 0;
   /// A previously missing block arrived via fetch.
   virtual void OnBlockFetched(const BlockPtr& /*block*/) {}
@@ -85,6 +88,21 @@ class ReplicaBase {
   /// certificate content is seen (verification results are cached, as real
   /// implementations do).
   bool CheckCert(const Certificate& cert);
+
+  // --- the view change ---------------------------------------------------------
+  /// Hands L_target the NewView for entering view `target`, when this
+  /// replica times out of view target-1 and at the bootstrap into view 1
+  /// (there is no view 0 to exit, §4.1 note). Only committee members of
+  /// `target` send one; the pacemaker callbacks in replica.cc call it. It
+  /// carries the highest certificate and no share; slotting adds its
+  /// New-View share over H_h (Fig. 7 ll. 27-31).
+  virtual void SendViewChange(uint64_t target) { SendNewView(target, high_cert_); }
+
+  /// Raises the highest certificate to `cert` if `cert` certifies a higher
+  /// position.
+  void UpdateHighCert(const Certificate& cert) {
+    if (high_cert_.block_id() < cert.block_id()) high_cert_ = cert;
+  }
 
   // --- the vote path ----------------------------------------------------------
   // Every protocol advances by one linear step: replicas sign a share to one
@@ -122,13 +140,19 @@ class ReplicaBase {
   VoteAccumulator& TallyFor(ShareTally& tally, const NewViewMsg& msg);
 
   // --- proposals ---------------------------------------------------------------
-  /// The leader's proposal step: charges the proposal CPU, draws a batch,
-  /// builds block `id` on `parent` (with slotting's `carry`, if any), stores
-  /// it, records `justify` as its justify and counts it. Returns the unsent
-  /// proposal, for the core to complete and broadcast.
+  /// The leader's proposal step: charges the proposal CPU, counts the
+  /// proposal and builds it from a freshly drawn batch (BuildProposal).
+  /// Returns the unsent proposal, for the core to complete and broadcast.
   std::shared_ptr<ProposeMsg> ProposeBlock(const BlockId& id, const BlockPtr& parent,
                                            const Certificate& justify,
                                            BlockPtr carry = nullptr);
+  /// Builds block `id` on `parent` from `txns` (with slotting's `carry`, if
+  /// any), stores it and records `justify` as its justify. Returns its
+  /// unsent proposal. An equivocating leader builds its second block here.
+  std::shared_ptr<ProposeMsg> BuildProposal(const BlockId& id, const BlockPtr& parent,
+                                            const Certificate& justify,
+                                            std::vector<Transaction> txns,
+                                            BlockPtr carry = nullptr);
   /// D6 slow leader (Example 6.1): while the schedule makes this leader
   /// slow, defers `propose` to three quarters into view `v`'s timer, to
   /// collect high-fee transactions, and returns true. The deferred call is
@@ -152,12 +176,19 @@ class ReplicaBase {
   void DeliverCommits(const std::vector<ExecResult>& committed);
   /// The one-phase speculation step every HotStuff-1 core runs when it
   /// learns the certificate of `certified`: speculate it under the Prefix
-  /// Speculation rule and, per `no_gap` (the core's own adjacency test), the
+  /// Speculation rule and, per `no_gap` (the core's adjacency test), the
   /// No-Gap rule, rolling back diverging speculation (Def. 4.7) and
   /// reporting it; then charge execution and respond speculatively for every
   /// executed block.
   void SpeculateAndRespond(const BlockPtr& certified, bool no_gap);
 
+  /// The prefix commit rule (Def. 4.6, extended to (view, slot) positions
+  /// by §6.1): starting at `certified`, the block whose certificate was just
+  /// learned, follows `links` justifies, each of which must certify the
+  /// position right before the block it justifies (BlockId::Precedes), then
+  /// commits the last block reached (TryCommit). HotStuff's 3-chain takes 2
+  /// links; every other core takes 1.
+  void CommitPrefix(BlockPtr certified, int links);
   /// Commits `target` and every uncommitted ancestor if the full path down
   /// to the committed tip is locally available; otherwise kicks off fetches
   /// for the gap and returns without committing (retried on later commits).
@@ -212,6 +243,7 @@ class ReplicaBase {
   ReplicaMetrics metrics_;
   AdversarySpec adversary_;
   InvariantOracle* oracle_ = nullptr;
+  Certificate high_cert_ = Certificate::Genesis();
   bool crashed_ = false;
   /// Highest view this replica has timed out of (exitView() semantics:
   /// "disable voting for view v"). During epoch synchronization the
@@ -221,6 +253,13 @@ class ReplicaBase {
   uint64_t exited_view_ = 0;
 
  private:
+  /// Runs `step`, a step of the local ledger, and reports the rollback it
+  /// made, if any, to the oracle at chain view `chain_view`. The ledger
+  /// counts every rollback itself (Ledger::rollback_events). Defined in
+  /// replica.cc, its only user.
+  template <typename Step>
+  void ReportingRollback(uint64_t chain_view, Step step);
+
   /// Signs one share, charging one signature. Only the vote path signs.
   Signature SignVote(CertKind kind, uint64_t context_view, const BlockId& block_id,
                      const Hash256& block_hash);

@@ -2,20 +2,6 @@
 
 namespace hotstuff1 {
 
-HotStuff1BasicReplica::HotStuff1BasicReplica(ReplicaId id,
-                                             const ConsensusConfig& config,
-                                             sim::Network* net,
-                                             const KeyRegistry* registry,
-                                             TransactionSource* source,
-                                             ResponseSink* sink,
-                                             KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
-      high_prepare_(Certificate::Genesis()) {}
-
-void HotStuff1BasicReplica::UpdateHighPrepare(const Certificate& cert) {
-  if (high_prepare_.block_id() < cert.block_id()) high_prepare_ = cert;
-}
-
 void HotStuff1BasicReplica::OnEnterView(uint64_t v) {
   while (!state_.empty() && state_.begin()->first < v) state_.erase(state_.begin());
   while (!pending_proposals_.empty() && pending_proposals_.begin()->first < v) {
@@ -23,11 +9,6 @@ void HotStuff1BasicReplica::OnEnterView(uint64_t v) {
   }
   while (!pending_prepares_.empty() && pending_prepares_.begin()->first < v) {
     pending_prepares_.erase(pending_prepares_.begin());
-  }
-
-  if (v == 1 && ActiveInView(1)) {
-    // Bootstrap: no view 0 exists; hand L_1 a NewView over genesis.
-    SendNewView(1, high_prepare_);
   }
 
   auto pending = pending_proposals_.find(v);
@@ -45,12 +26,6 @@ void HotStuff1BasicReplica::OnEnterView(uint64_t v) {
     });
     MaybePropose(v);
   }
-}
-
-void HotStuff1BasicReplica::OnViewTimeout(uint64_t v) {
-  // Standby replicas advance their view clock but hold no NewView power.
-  if (ActiveInView(v + 1)) SendNewView(v + 1, high_prepare_);
-  pacemaker_.CompletedView(v + 1);
 }
 
 void HotStuff1BasicReplica::OnProtocolMessage(const ConsensusMessage& msg) {
@@ -78,7 +53,7 @@ void HotStuff1BasicReplica::HandleNewView(const NewViewMsg& msg) {
   LeaderViewState& st = state_[tv];
   if (st.proposed) return;
   if (!CheckCert(msg.high_cert)) return;
-  UpdateHighPrepare(msg.high_cert);
+  UpdateHighCert(msg.high_cert);
   // Readiness counts the previous view's committee (see ChainedReplica).
   if (IsMember(tv == 0 ? 0 : tv - 1, msg.sender)) st.senders.Set(msg.sender);
 
@@ -101,7 +76,7 @@ void HotStuff1BasicReplica::MaybePropose(uint64_t v) {
   const uint64_t prev = v == 0 ? 0 : v - 1;  // senders finish view v-1
   if (st.senders.Count() < QuorumOf(prev)) return;
   // Fig. 2 line 8: wait for P(v-1) or n NewView messages or ShareTimer(v).
-  const bool have_prev = high_prepare_.block_id().view + 1 == v;
+  const bool have_prev = high_cert_.block_id().view + 1 == v;
   if (!(have_prev || st.senders.Count() >= CommitteeNOf(prev) ||
         st.share_timer_passed)) {
     return;
@@ -116,13 +91,13 @@ void HotStuff1BasicReplica::Propose(uint64_t v) {
 }
 
 void HotStuff1BasicReplica::BuildAndSend(uint64_t v) {
-  const BlockPtr parent = store_.GetOrNull(high_prepare_.block_hash());
+  const BlockPtr parent = store_.GetOrNull(high_cert_.block_hash());
   if (!parent) {
     state_[v].proposed = false;
-    EnsureBlock(high_prepare_.block_hash(), LeaderOf(high_prepare_.block_id().view));
+    EnsureBlock(high_cert_.block_hash(), LeaderOf(high_cert_.block_id().view));
     return;
   }
-  auto msg = ProposeBlock({v, 1}, parent, high_prepare_);
+  auto msg = ProposeBlock({v, 1}, parent, high_cert_);
   msg->commit_cert = high_commit_;
   // This leader forms P(v) from the ProposeVotes for exactly this block.
   state_[v].vote_acc.emplace(CertKind::kPrepare, v, msg->block->id(),
@@ -147,7 +122,7 @@ void HotStuff1BasicReplica::HandlePropose(const ProposeMsg& msg) {
 
   store_.Put(msg.block);
   RecordJustify(msg.block->hash(), msg.justify);
-  UpdateHighPrepare(msg.justify);
+  UpdateHighCert(msg.justify);
 
   // Traditional commit rule (Def. 4.5 / Fig. 2 line 17): the proposal
   // carries C(x); execute everything up to and including B_x.
@@ -164,8 +139,8 @@ void HotStuff1BasicReplica::HandlePropose(const ProposeMsg& msg) {
   if (v <= exited_view_) return;  // exitView(): no voting after timeout
 
   if (ActiveInView(v)) {
-    const bool safe = msg.justify.block_id() == high_prepare_.block_id() &&
-                      msg.justify.block_hash() == high_prepare_.block_hash();
+    const bool safe = msg.justify.block_id() == high_cert_.block_id() &&
+                      msg.justify.block_hash() == high_cert_.block_hash();
     if (!safe && !adversary_.ColludesWith(msg.sender)) return;
 
     voted_view_ = v;
@@ -191,7 +166,7 @@ void HotStuff1BasicReplica::HandleVote(const VoteMsg& msg) {
   if (st.prepared || !st.vote_acc) return;
   if (auto prepare = CollectShare(*st.vote_acc, msg.share)) {
     st.prepared = true;
-    UpdateHighPrepare(*prepare);
+    UpdateHighCert(*prepare);
     auto prep = std::make_shared<PrepareMsg>(id_);
     prep->cert = std::move(*prepare);
     Broadcast(std::move(prep));
@@ -210,7 +185,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
     if (v >= view()) pending_prepares_[v] = std::make_shared<PrepareMsg>(msg);
     return;
   }
-  UpdateHighPrepare(cert);
+  UpdateHighCert(cert);
 
   // No-Gap rule for the basic variant (§4.1 footnote): speculation is safe
   // only when the certificate is formed in the replica's current view for
@@ -222,11 +197,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
   }
 
   // Prefix commit rule (Def. 4.6): P(v) extends P(v-1).
-  const Certificate* justify = JustifyOf(certified->hash());
-  if (justify && justify->block_id().view + 1 == v) {
-    const BlockPtr target = store_.GetOrNull(justify->block_hash());
-    if (target) TryCommit(target);
-  }
+  CommitPrefix(certified, 1);
 
   SpeculateAndRespond(certified, no_gap);
 
@@ -235,7 +206,7 @@ void HotStuff1BasicReplica::HandlePrepare(const PrepareMsg& msg) {
   if (v == view() && v > exited_view_ && commit_voted_view_ < v) {
     commit_voted_view_ = v;
     if (ActiveInView(v)) {
-      SendNewView(v + 1, high_prepare_, CertKind::kCommit, *certified);
+      SendNewView(v + 1, high_cert_, CertKind::kCommit, *certified);
     }
     ExitToNextView(v);
   }

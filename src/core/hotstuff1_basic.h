@@ -8,7 +8,8 @@
 // (3 half-phases), guarded by the Prefix Speculation and No-Gap rules. Two
 // commit rules coexist: the traditional rule (commit-certificate C(x)
 // delivered in the next Propose, Def. 4.5) and the prefix rule (P(v)
-// extends P(v-1), Def. 4.6).
+// extends P(v-1), Def. 4.6, ReplicaBase::CommitPrefix). The highest
+// certificate (high_cert()) is the highest prepare certificate.
 
 #ifndef HOTSTUFF1_CORE_HOTSTUFF1_BASIC_H_
 #define HOTSTUFF1_CORE_HOTSTUFF1_BASIC_H_
@@ -24,19 +25,14 @@ namespace hotstuff1 {
 
 class HotStuff1BasicReplica : public ReplicaBase {
  public:
-  HotStuff1BasicReplica(ReplicaId id, const ConsensusConfig& config,
-                        sim::Network* net, const KeyRegistry* registry,
-                        TransactionSource* source, ResponseSink* sink,
-                        KvState initial_state);
+  using ReplicaBase::ReplicaBase;
 
   const char* Name() const override { return "HotStuff-1 (basic)"; }
 
-  const Certificate& high_prepare() const { return high_prepare_; }
   const std::optional<Certificate>& high_commit() const { return high_commit_; }
 
  protected:
   void OnEnterView(uint64_t view) override;
-  void OnViewTimeout(uint64_t view) override;
   void OnProtocolMessage(const ConsensusMessage& msg) override;
 
  private:
@@ -57,9 +53,7 @@ class HotStuff1BasicReplica : public ReplicaBase {
   void Propose(uint64_t view);
   void BuildAndSend(uint64_t view);
   void ExitToNextView(uint64_t view);
-  void UpdateHighPrepare(const Certificate& cert);
 
-  Certificate high_prepare_;
   std::optional<Certificate> high_commit_;
   uint64_t voted_view_ = 0;
   uint64_t commit_voted_view_ = 0;

@@ -4,28 +4,15 @@
 
 namespace hotstuff1 {
 
-HotStuff1SlottedReplica::HotStuff1SlottedReplica(
-    ReplicaId id, const ConsensusConfig& config, sim::Network* net,
-    const KeyRegistry* registry, TransactionSource* source, ResponseSink* sink,
-    KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
-      high_cert_(Certificate::Genesis()),
-      high_voted_(Block::Genesis()),
-      distrusted_(config.n, false) {}
-
 bool HotStuff1SlottedReplica::FormedInView(const Certificate& cert, uint64_t v) {
   if (cert.kind() == CertKind::kNewSlot) return cert.view() == v;
   if (cert.kind() == CertKind::kNewView) return cert.formed_view() == v;
   return false;
 }
 
-void HotStuff1SlottedReplica::UpdateHighCert(const Certificate& cert) {
-  MarkCertified(cert);
-  if (high_cert_.block_id() < cert.block_id()) high_cert_ = cert;
-}
-
-void HotStuff1SlottedReplica::MarkCertified(const Certificate& cert) {
+void HotStuff1SlottedReplica::LearnCert(const Certificate& cert) {
   if (!cert.IsGenesis()) certified_.insert(cert.block_hash());
+  UpdateHighCert(cert);
 }
 
 void HotStuff1SlottedReplica::RememberChild(const BlockPtr& block) {
@@ -66,12 +53,6 @@ void HotStuff1SlottedReplica::OnEnterView(uint64_t v) {
     pending_proposals_.erase(pending_proposals_.begin());
   }
 
-  if (v == 1 && ActiveInView(1)) {
-    // Bootstrap: there is no view 0 to time out of, so every replica sends
-    // L_1 an initial NewView voting for the hard-coded genesis (§4.1 note).
-    SendNewView(1, high_cert_, CertKind::kNewView, *high_voted_);
-  }
-
   auto pending = pending_proposals_.find(v);
   if (pending != pending_proposals_.end()) {
     auto msgs = std::move(pending->second);
@@ -87,17 +68,6 @@ void HotStuff1SlottedReplica::OnEnterView(uint64_t v) {
     });
     MaybeProposeFirst(v);
   }
-}
-
-void HotStuff1SlottedReplica::OnViewTimeout(uint64_t v) {
-  // The normal end of a slotted view (§6.1 View-change): hand the next
-  // leader our highest certificate and a New-View share over our highest
-  // voted block H_h (Fig. 7 lines 27-31). Standby replicas advance their
-  // view clock but hold no NewView power.
-  if (ActiveInView(v + 1)) {
-    SendNewView(v + 1, high_cert_, CertKind::kNewView, *high_voted_);
-  }
-  pacemaker_.CompletedView(v + 1);
 }
 
 void HotStuff1SlottedReplica::OnProtocolMessage(const ConsensusMessage& msg) {
@@ -126,7 +96,7 @@ void HotStuff1SlottedReplica::HandleNewView(const NewViewMsg& msg) {
   if (LeaderOf(tv) != id_ || tv < view()) return;
   LeaderState& st = lstate_[tv];
   if (!CheckCert(msg.high_cert)) return;
-  UpdateHighCert(msg.high_cert);
+  LearnCert(msg.high_cert);
   // NewView senders/shares are replicas finishing view tv-1, so membership
   // and quorum arithmetic follow tv-1's committee (outgoing members at an
   // epoch boundary hand over to the incoming leader).
@@ -141,7 +111,7 @@ void HotStuff1SlottedReplica::HandleNewView(const NewViewMsg& msg) {
       CheckVote(CertKind::kNewView, tv, msg.voted_id, msg.voted_hash, msg.share);
     } else if (auto formed = CollectShare(TallyFor(st.nv_accs, msg), msg.share)) {
       st.formed_nv = std::move(formed);
-      UpdateHighCert(*st.formed_nv);
+      LearnCert(*st.formed_nv);
     }
   }
 
@@ -270,9 +240,9 @@ void HotStuff1SlottedReplica::HandleNewSlotVote(const VoteMsg& msg) {
   LeaderState& st = lstate_[v];
   if (!st.slot_acc || st.slot_acc->block_hash() != msg.block_hash) return;
   if (!CheckCert(msg.high_cert)) return;
-  UpdateHighCert(msg.high_cert);
+  LearnCert(msg.high_cert);
   if (auto formed = CollectShare(*st.slot_acc, msg.share)) {
-    UpdateHighCert(*formed);
+    LearnCert(*formed);
     ProposeNextSlot(v, *formed);
   }
 }
@@ -299,7 +269,7 @@ void HotStuff1SlottedReplica::HandleReject(const RejectMsg& msg) {
       it->second.prev_leader_cert->block_id() < msg.high_cert.block_id()) {
     distrusted_[LeaderOf(msg.view - 1)] = true;
   }
-  UpdateHighCert(msg.high_cert);
+  LearnCert(msg.high_cert);
 }
 
 // --- backup side ---------------------------------------------------------------
@@ -325,46 +295,6 @@ bool HotStuff1SlottedReplica::SafeSlot(const ProposeMsg& msg,
     return true;  // Case 4
   }
   return false;
-}
-
-void HotStuff1SlottedReplica::ApplyCommitRule(const Certificate& justify) {
-  // Prefix commit over the two-dimensional chain (§6.1 Commit Rule): when a
-  // certificate P(sw, w) is learned and the certified block's own justify J
-  // is the immediately preceding certificate -- same view, previous slot
-  // (case 1) or, for first slots, any certificate over a view w-1 block
-  // (case 2) -- commit J's block and its ancestors.
-  if (justify.IsGenesis()) return;
-  const BlockPtr certified = store_.GetOrNull(justify.block_hash());
-  if (!certified) return;
-  const Certificate* j = JustifyOf(certified->hash());
-  if (j == nullptr || j->IsGenesis()) return;
-  const uint32_t sw = justify.block_id().slot;
-  const uint64_t w = justify.block_id().view;
-  bool adjacent = false;
-  if (sw > 1) {
-    adjacent = j->block_id().view == w && j->block_id().slot == sw - 1;
-  } else {
-    adjacent = j->block_id().view + 1 == w;
-  }
-  if (!adjacent) return;
-  const BlockPtr target = store_.GetOrNull(j->block_hash());
-  if (target) TryCommit(target);
-}
-
-void HotStuff1SlottedReplica::ApplySpeculation(const Certificate& justify,
-                                               const BlockId& proposal_id) {
-  if (justify.IsGenesis()) return;
-  const BlockPtr certified = store_.GetOrNull(justify.block_hash());
-  if (!certified) return;
-  // No-Gap rule, slotted form (Fig. 7 line 17): the certified block is from
-  // the immediately preceding slot, or the last certificate of the
-  // immediately preceding view.
-  const uint32_t s = proposal_id.slot;
-  const uint64_t v = proposal_id.view;
-  const bool no_gap =
-      (s == justify.block_id().slot + 1 && v == justify.block_id().view) ||
-      (s == 1 && v == justify.block_id().view + 1);
-  SpeculateAndRespond(certified, no_gap);
 }
 
 void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
@@ -401,10 +331,16 @@ void HotStuff1SlottedReplica::HandlePropose(const ProposeMsg& msg) {
   store_.Put(msg.block);
   RememberChild(msg.block);
   RecordJustify(msg.block->hash(), msg.justify);
-  UpdateHighCert(msg.justify);
+  LearnCert(msg.justify);
 
-  ApplyCommitRule(msg.justify);
-  ApplySpeculation(msg.justify, msg.block->id());
+  // Prefix commit over (view, slot) positions (§6.1 Commit Rule), then the
+  // slotted No-Gap rule (Fig. 7 line 17): the certified block is from the
+  // immediately preceding slot, or the last certificate of the immediately
+  // preceding view.
+  if (const BlockPtr certified = store_.GetOrNull(msg.justify.block_hash())) {
+    CommitPrefix(certified, 1);
+    SpeculateAndRespond(certified, msg.justify.block_id().Precedes(msg.block->id()));
+  }
 
   // Voting.
   if (v != view()) {

@@ -16,6 +16,11 @@
 // proposals; leaders use Rejects to distrust concealing previous leaders
 // (§6.3), falling back from the trusted-leader network-speed fast path to
 // the four waiting conditions of Fig. 6 line 6.
+//
+// ReplicaBase runs the view change, keeps the highest certificate and
+// commits by the prefix rule over (view, slot) positions; this core adds
+// the New-View share its NewView carries (SendViewChange) and tracks which
+// blocks are certified, for the carry search.
 
 #ifndef HOTSTUFF1_CORE_HOTSTUFF1_SLOTTED_H_
 #define HOTSTUFF1_CORE_HOTSTUFF1_SLOTTED_H_
@@ -33,10 +38,7 @@ namespace hotstuff1 {
 
 class HotStuff1SlottedReplica : public ReplicaBase {
  public:
-  HotStuff1SlottedReplica(ReplicaId id, const ConsensusConfig& config,
-                          sim::Network* net, const KeyRegistry* registry,
-                          TransactionSource* source, ResponseSink* sink,
-                          KvState initial_state);
+  using ReplicaBase::ReplicaBase;
 
   const char* Name() const override { return "HotStuff-1 (slotting)"; }
 
@@ -44,9 +46,14 @@ class HotStuff1SlottedReplica : public ReplicaBase {
 
  protected:
   void OnEnterView(uint64_t view) override;
-  void OnViewTimeout(uint64_t view) override;
   void OnProtocolMessage(const ConsensusMessage& msg) override;
   void OnBlockFetched(const BlockPtr& block) override;
+  /// The normal end of a slotted view (§6.1 View-change), and the
+  /// bootstrap: the NewView also carries a New-View share over our highest
+  /// voted block H_h (Fig. 7 lines 27-31).
+  void SendViewChange(uint64_t target) override {
+    SendNewView(target, high_cert_, CertKind::kNewView, *high_voted_);
+  }
 
  private:
   struct LeaderState {
@@ -76,21 +83,18 @@ class HotStuff1SlottedReplica : public ReplicaBase {
 
   bool SafeSlot(const ProposeMsg& msg, const BlockPtr& carry) const;
   void RememberChild(const BlockPtr& block);
-  void MarkCertified(const Certificate& cert);
   BlockPtr LowestUncertifiedChild(const Hash256& parent_hash) const;
-  void UpdateHighCert(const Certificate& cert);
+  /// Every certificate this core learns passes here: marks its block
+  /// certified, then raises the highest certificate.
+  void LearnCert(const Certificate& cert);
   /// True if `cert` was formed in view `v` (NewSlot of view v, or NewView
   /// with fv = v).
   static bool FormedInView(const Certificate& cert, uint64_t v);
 
-  void ApplyCommitRule(const Certificate& justify);
-  void ApplySpeculation(const Certificate& justify, const BlockId& proposal_id);
-
-  Certificate high_cert_;
-  BlockPtr high_voted_;  // H_h: the highest block this replica voted for
+  BlockPtr high_voted_ = Block::Genesis();  // H_h: the highest block voted for
   uint32_t next_slot_ = 1;   // next slot we may vote on in slot_view_
   uint64_t slot_view_ = 0;
-  std::vector<bool> distrusted_;
+  std::vector<bool> distrusted_ = std::vector<bool>(config_.n, false);
 
   std::map<uint64_t, LeaderState> lstate_;
   std::map<uint64_t, std::vector<std::shared_ptr<const ProposeMsg>>> pending_proposals_;

@@ -27,16 +27,16 @@ bool HotStuff1StreamlinedReplica::TestBreakSafetyCommit(const BlockPtr& certifie
 
 void HotStuff1StreamlinedReplica::ProcessCertificate(const Certificate& justify,
                                                      const BlockPtr& certified,
-                                                     uint64_t proposal_view) {
+                                                     const BlockId& proposal) {
   if (config_.test_break_safety && TestBreakSafetyCommit(certified)) return;
 
   // Commit rule first (Fig. 4 lines 9-10), so the Prefix Speculation rule
   // sees the freshest global-ledger state.
-  CommitTwoChain(certified);
+  CommitPrefix(certified, 1);
 
   // No-Gap rule (Def. 3.2): the certificate must be from the immediately
   // preceding view.
-  SpeculateAndRespond(certified, justify.block_id().view + 1 == proposal_view);
+  SpeculateAndRespond(certified, justify.block_id().Precedes(proposal));
 }
 
 }  // namespace hotstuff1

@@ -14,18 +14,13 @@ namespace hotstuff1 {
 
 class HotStuff1StreamlinedReplica : public ChainedReplica {
  public:
-  HotStuff1StreamlinedReplica(ReplicaId id, const ConsensusConfig& config,
-                              sim::Network* net, const KeyRegistry* registry,
-                              TransactionSource* source, ResponseSink* sink,
-                              KvState initial_state)
-      : ChainedReplica(id, config, net, registry, source, sink,
-                       std::move(initial_state)) {}
+  using ChainedReplica::ChainedReplica;
 
   const char* Name() const override { return "HotStuff-1"; }
 
  protected:
   void ProcessCertificate(const Certificate& justify, const BlockPtr& certified,
-                          uint64_t proposal_view) override;
+                          const BlockId& proposal) override;
 
  private:
   /// Test-only mutation (ConsensusConfig::test_break_safety): when the newly

@@ -48,6 +48,13 @@ struct BlockId {
     return slot < o.slot;
   }
   bool operator<=(const BlockId& o) const { return *this < o || *this == o; }
+  /// Adjacency in the chain (No-Gap, Def. 3.2; the prefix commit rule):
+  /// `next` is the next slot of this view, or slot 1 of the next view. For
+  /// unslotted blocks, always slot 1, this is `next.view == view + 1`.
+  bool Precedes(const BlockId& next) const {
+    return next.view == view ? next.slot == slot + 1
+                             : next.view == view + 1 && next.slot == 1;
+  }
 
   std::string ToString() const {
     return "B(" + std::to_string(slot) + "," + std::to_string(view) + ")";

@@ -1,6 +1,7 @@
 #include "runtime/experiment.h"
 
 #include <limits>
+#include <type_traits>
 
 #include "baselines/hotstuff.h"
 #include "baselines/hotstuff2.h"
@@ -51,27 +52,21 @@ Experiment::~Experiment() = default;
 std::unique_ptr<ReplicaBase> Experiment::MakeReplica(ReplicaId id,
                                                      const ConsensusConfig& cc,
                                                      KvState state) {
+  // Every core takes ReplicaBase's constructor.
+  auto make = [&]<typename Core>(std::type_identity<Core>) {
+    return std::unique_ptr<ReplicaBase>(std::make_unique<Core>(
+        id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(),
+        std::move(state)));
+  };
   switch (config_.protocol) {
-    case ProtocolKind::kHotStuff:
-      return std::make_unique<HotStuffReplica>(id, cc, net_.get(), registry_.get(),
-                                               clients_.get(), clients_.get(),
-                                               std::move(state));
-    case ProtocolKind::kHotStuff2:
-      return std::make_unique<HotStuff2Replica>(id, cc, net_.get(), registry_.get(),
-                                                clients_.get(), clients_.get(),
-                                                std::move(state));
+    case ProtocolKind::kHotStuff: return make(std::type_identity<HotStuffReplica>());
+    case ProtocolKind::kHotStuff2: return make(std::type_identity<HotStuff2Replica>());
     case ProtocolKind::kHotStuff1Basic:
-      return std::make_unique<HotStuff1BasicReplica>(id, cc, net_.get(),
-                                                     registry_.get(), clients_.get(),
-                                                     clients_.get(), std::move(state));
+      return make(std::type_identity<HotStuff1BasicReplica>());
     case ProtocolKind::kHotStuff1:
-      return std::make_unique<HotStuff1StreamlinedReplica>(
-          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(),
-          std::move(state));
+      return make(std::type_identity<HotStuff1StreamlinedReplica>());
     case ProtocolKind::kHotStuff1Slotted:
-      return std::make_unique<HotStuff1SlottedReplica>(
-          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(),
-          std::move(state));
+      return make(std::type_identity<HotStuff1SlottedReplica>());
   }
   return nullptr;
 }
@@ -339,8 +334,8 @@ ExperimentResult Experiment::Run() {
     res.timeouts += m.timeouts;
     res.rejects += m.rejects_sent;
     if (!plan_.faulty_mask || !(*plan_.faulty_mask)[id]) {
-      res.rollback_events += m.rollback_events;
-      res.blocks_rolled_back += m.blocks_rolled_back;
+      res.rollback_events += replicas_[id]->ledger().rollback_events();
+      res.blocks_rolled_back += replicas_[id]->ledger().blocks_rolled_back();
     }
   }
   res.safety_ok = CheckSafety();

@@ -154,8 +154,9 @@ struct ExperimentResult {
   uint64_t views = 0;             // views entered at observer
   uint64_t slots = 0;             // total slots proposed (all replicas)
   uint64_t timeouts = 0;
-  // Speculation-time rollbacks at correct replicas (ReplicaMetrics); the
-  // commit-time ones in ReplicaBase::TryCommit are not counted.
+  // Local-ledger rollbacks at correct replicas, at speculation and at
+  // commit time alike, and the blocks they undid: the sums of their
+  // Ledger::rollback_events and blocks_rolled_back over the whole run.
   uint64_t rollback_events = 0;
   uint64_t blocks_rolled_back = 0;
   uint64_t rejects = 0;

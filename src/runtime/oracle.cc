@@ -15,7 +15,7 @@ namespace {
 // how long a real post-GST stall can hide. Scenarios that want a sharp
 // detector (fig_liveness, the over-threshold fuzz tier) set explicit
 // thresholds matched to their own durations.
-uint64_t AutoK(uint32_t f) {
+uint64_t AutoK(uint64_t f) {
   // Within any epoch of f+1 consecutive views at most f have faulty
   // leaders, so a correct commit is never more than ~2(f+1) views away in a
   // legitimate run. The auto threshold carries far more headroom than that
@@ -44,8 +44,9 @@ InvariantOracle::InvariantOracle(sim::Simulator* sim, Setup setup)
   height_of_[genesis] = 0;
   misled_views_.resize(setup_.n);
 
-  const uint32_t f = setup_.n > 0 ? (setup_.n - 1) / 3 : 0;
-  k_ = setup_.k > 0 ? setup_.k : AutoK(f);
+  // A resolved schedule's epochs are f+1 views wide.
+  const uint64_t epoch_views = setup_.committee.views_per_epoch;
+  k_ = setup_.k > 0 ? setup_.k : AutoK(epoch_views > 0 ? epoch_views - 1 : 0);
   const SimTime tau = setup_.view_timer > 0 ? setup_.view_timer : Millis(10);
   grace_ = setup_.grace > 0 ? setup_.grace : AutoGrace(k_, tau);
   // Synchronous from the start (no interference schedule): Thm B.8's clock

@@ -255,6 +255,36 @@ TEST(RollbackAttackTest, GlobalLedgerNeverRollsBack) {
   EXPECT_TRUE(exp.CheckSafety());
 }
 
+// The result counts every local-ledger rollback at correct replicas,
+// including those a commit makes (ReplicaBase::TryCommit): it is the sum of
+// their Ledger counters. fig10_rollback's smoke row at 10 faulty leaders.
+TEST(RollbackAttackTest, CountsEveryLedgerRollbackAtCorrectReplicas) {
+  ExperimentConfig cfg;
+  cfg.protocol = ProtocolKind::kHotStuff1;
+  cfg.n = 32;
+  cfg.batch_size = 100;
+  cfg.strategy = StrategySchedule::Always(kActEquivocate);
+  cfg.num_faulty = 10;
+  cfg.rollback_victims = 10;
+  cfg.view_timer = Millis(10);
+  cfg.delta = Millis(1);
+  cfg.warmup = Millis(40);
+  cfg.duration = Millis(120);
+  cfg.seed = 2024;
+  Experiment exp(cfg);
+  const auto res = exp.Run();
+  uint64_t events = 0;
+  uint64_t blocks = 0;
+  for (const auto& r : exp.replicas()) {
+    if (r->adversary().schedule) continue;  // faulty
+    events += r->ledger().rollback_events();
+    blocks += r->ledger().blocks_rolled_back();
+  }
+  EXPECT_GT(res.rollback_events, 0u);
+  EXPECT_EQ(res.rollback_events, events);
+  EXPECT_EQ(res.blocks_rolled_back, blocks);
+}
+
 TEST(RollbackAttackTest, SlottingConfinesTheAttack) {
   ExperimentConfig plain =
       FaultConfig(ProtocolKind::kHotStuff1, kActEquivocate, 2);

@@ -53,7 +53,7 @@ TEST_F(ClientPoolTest, DrawBatchRespectsVisibilityAndFifo) {
   EXPECT_EQ(batch.size(), 4u);
   auto rest = pool_->DrawBatch(0, 100, sim_.Now());
   EXPECT_EQ(rest.size(), 6u);
-  EXPECT_EQ(pool_->PendingCount(), 0u);
+  EXPECT_EQ(pool_->backlog(), 0u);
   // FIFO: ids don't repeat across draws.
   for (const auto& a : batch) {
     for (const auto& b : rest) EXPECT_NE(a.id, b.id);
@@ -147,7 +147,7 @@ TEST_F(ClientPoolTest, LatencyIncludesRequestAndResponseHops) {
 TEST_F(ClientPoolTest, ResubmitAfterTimeout) {
   auto batch = pool_->DrawBatch(0, 10, sim_.Now());
   EXPECT_EQ(batch.size(), 10u);
-  EXPECT_EQ(pool_->PendingCount(), 0u);
+  EXPECT_EQ(pool_->backlog(), 0u);
   // Never respond: the transactions were in an orphaned block.
   sim_.RunUntil(sim_.Now() + Millis(200));
   EXPECT_GE(pool_->resubmissions(), 10u);

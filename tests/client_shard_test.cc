@@ -199,7 +199,6 @@ TEST_F(ClientShardTest, OpenLoopBacklogGrowsUnderOverload) {
   // ~5000 expected arrivals; 4 sigma is ~285.
   EXPECT_NEAR(static_cast<double>(backlog_50ms), 5'000.0, 400.0);
   EXPECT_EQ(pool_->accepted(), 0u);
-  EXPECT_EQ(pool_->PendingCount(), backlog_50ms);
 
   // Draining a batch shrinks the backlog by exactly the drawn count.
   const auto batch = pool_->DrawBatch(0, 1'000, sim_.Now());

@@ -64,6 +64,25 @@ TEST(BlockTest, IdOrderingIsLexicographic) {
   EXPECT_FALSE((BlockId{2, 2}) < (BlockId{2, 2}));
 }
 
+TEST(BlockTest, PrecedesIsTheNextSlotOrTheNextViewsFirstSlot) {
+  const BlockId id{4, 2};
+  const struct {
+    BlockId next;
+    bool adjacent;
+  } cases[] = {
+      {{4, 3}, true},   // next slot, same view
+      {{5, 1}, true},   // slot 1 of the next view
+      {{4, 4}, false},  // a slot skipped
+      {{5, 2}, false},  // next view, not its first slot
+      {{6, 1}, false},  // a view skipped
+      {{4, 2}, false},  // itself
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(id.Precedes(c.next), c.adjacent)
+        << id.ToString() << " -> " << c.next.ToString();
+  }
+}
+
 TEST(BlockTest, WireSizeGrowsWithTxns) {
   const BlockPtr g = Block::Genesis();
   const BlockPtr small = MakeBlock(1, g, {WriteTxn(1, 1, 1)});

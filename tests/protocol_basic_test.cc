@@ -67,11 +67,11 @@ TEST(BasicHotStuff1Test, HighPrepareAdvances) {
   exp.Run();
   const auto* r0 =
       static_cast<const HotStuff1BasicReplica*>(exp.replicas()[0].get());
-  EXPECT_GT(r0->high_prepare().view(), 10u);
+  EXPECT_GT(r0->high_cert().view(), 10u);
   ASSERT_TRUE(r0->high_commit().has_value());
   EXPECT_GT(r0->high_commit()->view(), 10u);
   // The commit certificate trails the prepare certificate.
-  EXPECT_LE(r0->high_commit()->view(), r0->high_prepare().view());
+  EXPECT_LE(r0->high_commit()->view(), r0->high_cert().view());
 }
 
 TEST(BasicHotStuff1Test, SurvivesCrashedLeader) {

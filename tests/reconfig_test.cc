@@ -34,8 +34,6 @@ TEST(CommitteeScheduleTest, ParsesStepsAndRanges) {
   EXPECT_FALSE(s.steps[2].committee.Contains(4));
   EXPECT_TRUE(s.steps[2].committee.Contains(8));
   EXPECT_EQ(s.MaxMember(), 19u);
-  EXPECT_EQ(s.MinN(), 12u);
-  EXPECT_EQ(s.MinF(), 3u);
   EXPECT_EQ(s.views_per_epoch, 0u);  // unresolved until Experiment::Setup
 }
 

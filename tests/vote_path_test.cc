@@ -1,7 +1,8 @@
 // The vote path every protocol core shares (ReplicaBase): a replica signs a
 // share to one leader (SendNewView, SendVote), and the leader turns a quorum
 // of shares into a certificate (CollectShare), the program's only place
-// where certificates form and are reported to the invariant oracle.
+// where certificates form and are reported to the invariant oracle. And the
+// prefix commit rule every core shares (CommitPrefix).
 
 #include <gtest/gtest.h>
 
@@ -29,8 +30,8 @@ ConsensusConfig VoteConfig() {
 }
 
 // A replica with no protocol rules of its own: it exposes the vote path and
-// records the shares that reach it. It never proposes or answers clients,
-// so it needs no transaction source or response sink.
+// the commit rule, and records the shares that reach it. It never proposes
+// or answers clients, so it needs no transaction source or response sink.
 class VoteReplica : public ReplicaBase {
  public:
   VoteReplica(ReplicaId id, sim::Network* net, const KeyRegistry* registry)
@@ -40,19 +41,22 @@ class VoteReplica : public ReplicaBase {
   const char* Name() const override { return "vote path"; }
 
   using ReplicaBase::CollectShare;
+  using ReplicaBase::CommitPrefix;
   using ReplicaBase::LeaderOf;
   using ReplicaBase::QuorumOf;
+  using ReplicaBase::RecordJustify;
   using ReplicaBase::SendNewView;
   using ReplicaBase::SendVote;
   using ReplicaBase::ShareTally;
   using ReplicaBase::TallyFor;
+
+  void Store(const BlockPtr& block) { store_.Put(block); }
 
   std::vector<NewViewMsg> new_views;
   std::vector<VoteMsg> votes;
 
  protected:
   void OnEnterView(uint64_t /*view*/) override {}
-  void OnViewTimeout(uint64_t /*view*/) override {}
   void OnProtocolMessage(const ConsensusMessage& msg) override {
     if (msg.type == ConsensusMessage::Type::kNewView) {
       new_views.push_back(static_cast<const NewViewMsg&>(msg));
@@ -238,6 +242,50 @@ TEST_F(VotePathTest, SharesReachTheLeaderAndVerifyThere) {
     EXPECT_EQ(acc.count(), 1u);
   }
   EXPECT_EQ(replica(0).metrics().votes_sent, 4u);
+}
+
+// The prefix commit rule over a hand-built chain of txn-free blocks, stored
+// at every replica. Each block's recorded justify certifies its parent, as
+// the proposal that carried it would have.
+TEST_F(VotePathTest, CommitPrefixFollowsAdjacentJustifies) {
+  std::vector<BlockPtr> chain{Block::Genesis()};  // chain[h] is at height h
+  for (const BlockId id : {BlockId{1, 1}, BlockId{2, 1}, BlockId{3, 1}, BlockId{5, 1},
+                           BlockId{6, 1}, BlockId{7, 1}, BlockId{7, 2}, BlockId{7, 3},
+                           BlockId{8, 1}}) {
+    const BlockPtr& parent = chain.back();
+    chain.push_back(std::make_shared<Block>(id, parent->hash(), parent->height() + 1,
+                                            /*proposer=*/0, std::vector<Transaction>{}));
+  }
+  for (ReplicaId r = 0; r < kN; ++r) {
+    for (size_t h = 1; h < chain.size(); ++h) {
+      const BlockPtr& parent = chain[h - 1];
+      replica(r).Store(chain[h]);
+      replica(r).RecordJustify(
+          chain[h]->hash(),
+          parent->IsGenesis() ? Certificate::Genesis()
+                              : Certificate(CertKind::kPrepare, parent->id(),
+                                            parent->hash(), parent->view(), {}));
+    }
+  }
+  auto committed = [&](ReplicaId r) { return replica(r).ledger().committed_height(); };
+
+  // 1 link: (3,1)'s justify certifies (2,1), committed with its ancestors.
+  replica(0).CommitPrefix(chain[3], 1);
+  EXPECT_EQ(committed(0), 2u);
+  EXPECT_TRUE(replica(0).ledger().IsCommitted(chain[1]->hash()));
+  // 2 links: one block lower.
+  replica(1).CommitPrefix(chain[3], 2);
+  EXPECT_EQ(committed(1), 1u);
+  // A view gap: (5,1)'s justify certifies (3,1), so neither (5,1) nor the
+  // 2-link chain from (6,1) through it commits anything.
+  replica(2).CommitPrefix(chain[4], 1);
+  replica(2).CommitPrefix(chain[5], 2);
+  EXPECT_EQ(committed(2), 0u);
+  // Slotted positions: (7,1) -> (7,2) within a view, (7,3) -> (8,1) across.
+  replica(3).CommitPrefix(chain[7], 1);
+  EXPECT_EQ(committed(3), 6u);
+  replica(3).CommitPrefix(chain[9], 1);
+  EXPECT_EQ(committed(3), 8u);
 }
 
 }  // namespace

@@ -16,12 +16,17 @@
 #     adversary, under 0-:slow, 0-:tailfork, 0-:equivocate, 0-:crash and
 #     0-2:withhold, and with a shrinking --reconfig; at n=16 (--faulty=5)
 #     and at n=64 (--faulty=21). That is 70 runs;
+#   - `hs1sim --oracle` for all five cores with a growing --reconfig at
+#     n=16 (--faulty=5), so standbys exist at the bootstrap into view 1;
 #   - runs whose oracles fire, so their diagnostics and the DescribeConfig
 #     repro each one embeds are compared: every core at --n=7 --faulty=3
 #     --strategy=0-:crash (liveness-silence), and one withholding coalition
 #     past the fault bound of a shrinking committee.
-# Every hs1sim case compares its whole stdout. Stderr is not compared. The script stops at the first difference, prints
-# it, and exits 1; it exits 0 when everything matches and 2 on bad usage.
+# That is 83 hs1sim runs; with fig_liveness, fig_reconfig and
+# fuzz_overthreshold named at full size, 104 cases in all. Every hs1sim
+# case compares its whole stdout. Stderr is not compared. The script stops
+# at the first difference, prints it, and exits 1; it exits 0 when
+# everything matches and 2 on bad usage.
 # Outputs stay in $OUT (default: a fresh temporary directory) for
 # inspection. The two builds run side by side, each hs1bench with --jobs=2.
 
@@ -96,6 +101,12 @@ for point in "16 5 0:0-15;4:0-11" "64 21 0:0-63;4:0-47"; do
         --protocol="$protocol" --n="$n" --faulty="$faulty" "${extra[@]}"
     done
   done
+done
+
+# A growing committee: replicas 12-15 are standbys from the start.
+for protocol in hotstuff hotstuff2 basic hotstuff1 slotted; do
+  run_case "sim-$protocol-n16-grow" hs1sim --oracle --protocol="$protocol" \
+    --n=16 --faulty=5 --reconfig='0:0-11;4:0-15'
 done
 
 # Oracles that fire: f+1 crashed replicas starve the n-f Wish quorum
